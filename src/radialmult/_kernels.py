@@ -1,9 +1,4 @@
-"""Hot inner loops: periodic spline rotation and direct convolution.
-
-Two implementations of each kernel: a numba @njit version and a pure
-numpy version.  Selection: numpy is used when numba is unavailable or
-when the environment variable RADIALMULT_NO_NUMBA is set to a non-empty
-value.  `benchmarks/bench_kernels.py` compares the two paths.
+"""Periodic cubic-spline rotation of grid values (numpy).
 
 Interpolation-mode rotation uses a periodic cubic B-spline: the spline
 coefficients come from an FFT prefilter (division by the B-spline
@@ -15,20 +10,11 @@ error on desk-scale grids is orders of magnitude too large.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_want_numba = not os.environ.get("RADIALMULT_NO_NUMBA")
-try:  # pragma: no cover - import guard
-    if _want_numba:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:  # pragma: no cover
-    njit = None
-
-USING_NUMBA = njit is not None
+#: Always False: there is no compiled backend.  Kept because the
+#: benchmark's machine-facts line reads it.
+USING_NUMBA = False
 
 
 def spline_prefilter(values: np.ndarray) -> np.ndarray:
@@ -78,83 +64,6 @@ def _rotate_spline_numpy(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarr
     return out
 
 
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _rotate_spline_2d_numba(coeffs, R, index_axis):  # pragma: no cover - jit
-        N = coeffs.shape[0]
-        out = np.zeros((N, N), dtype=np.complex128)
-        w0 = np.empty(4)
-        w1 = np.empty(4)
-        for a in range(N):
-            ja = index_axis[a]
-            for b in range(N):
-                jb = index_axis[b]
-                t0 = R[0, 0] * ja + R[0, 1] * jb
-                t1 = R[1, 0] * ja + R[1, 1] * jb
-                i0 = int(np.floor(t0))
-                i1 = int(np.floor(t1))
-                f0 = t0 - i0
-                f1 = t1 - i1
-                for f, w in ((f0, w0), (f1, w1)):
-                    f2 = f * f
-                    f3 = f2 * f
-                    w[0] = (1.0 - 3.0 * f + 3.0 * f2 - f3) / 6.0
-                    w[1] = (4.0 - 6.0 * f2 + 3.0 * f3) / 6.0
-                    w[2] = (1.0 + 3.0 * f + 3.0 * f2 - 3.0 * f3) / 6.0
-                    w[3] = f3 / 6.0
-                acc = 0.0 + 0.0j
-                for da in range(4):
-                    ia = (i0 + da - 1) % N
-                    for db in range(4):
-                        ib = (i1 + db - 1) % N
-                        acc += w0[da] * w1[db] * coeffs[ia, ib]
-                out[a, b] = acc
-        return out
-
-    @njit(cache=True)
-    def _rotate_spline_3d_numba(coeffs, R, index_axis):  # pragma: no cover - jit
-        N = coeffs.shape[0]
-        out = np.zeros((N, N, N), dtype=np.complex128)
-        w = np.empty((3, 4))
-        i = np.empty(3, dtype=np.int64)
-        for a in range(N):
-            for b in range(N):
-                for c in range(N):
-                    j = (index_axis[a], index_axis[b], index_axis[c])
-                    for axis in range(3):
-                        t = R[axis, 0] * j[0] + R[axis, 1] * j[1] + R[axis, 2] * j[2]
-                        i[axis] = int(np.floor(t))
-                        f = t - i[axis]
-                        f2 = f * f
-                        f3 = f2 * f
-                        w[axis, 0] = (1.0 - 3.0 * f + 3.0 * f2 - f3) / 6.0
-                        w[axis, 1] = (4.0 - 6.0 * f2 + 3.0 * f3) / 6.0
-                        w[axis, 2] = (1.0 + 3.0 * f + 3.0 * f2 - 3.0 * f3) / 6.0
-                        w[axis, 3] = f3 / 6.0
-                    acc = 0.0 + 0.0j
-                    for da in range(4):
-                        ia = (i[0] + da - 1) % N
-                        for db in range(4):
-                            ib = (i[1] + db - 1) % N
-                            for dc in range(4):
-                                ic = (i[2] + dc - 1) % N
-                                acc += w[0, da] * w[1, db] * w[2, dc] * coeffs[ia, ib, ic]
-                    out[a, b, c] = acc
-        return out
-
-    @njit(cache=True)
-    def _direct_convolve_flat_numba(kflat, fflat, offsets, vol):  # pragma: no cover - jit
-        P = fflat.shape[0]
-        out = np.zeros(P, dtype=np.complex128)
-        for k in range(P):
-            acc = 0.0 + 0.0j
-            for l in range(P):
-                acc += kflat[offsets[k, l]] * fflat[l]
-            out[k] = acc * vol
-        return out
-
-
 def rotate_interp(values: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> np.ndarray:
     """out[k] = values interpolated at R x_k; periodic cubic-spline interpolation.
 
@@ -164,33 +73,4 @@ def rotate_interp(values: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> 
     """
     coeffs = spline_prefilter(values)
     R = np.ascontiguousarray(R, dtype=float)
-    idx = np.ascontiguousarray(index_axis, dtype=float)
-    if USING_NUMBA and values.ndim == 2:
-        return _rotate_spline_2d_numba(np.ascontiguousarray(coeffs), R, idx)
-    if USING_NUMBA and values.ndim == 3:
-        return _rotate_spline_3d_numba(np.ascontiguousarray(coeffs), R, idx)
     return _rotate_spline_numpy(coeffs, R, index_axis)
-
-
-def _offsets_table(shape: tuple[int, ...]) -> np.ndarray:
-    """Flat index of (k - l) mod N per axis, for every flat pair (k, l)."""
-    coords = np.stack(np.meshgrid(*[np.arange(s) for s in shape], indexing="ij"), axis=-1)
-    flat = coords.reshape(-1, len(shape))
-    diff = np.mod(flat[:, None, :] - flat[None, :, :], np.asarray(shape))
-    return np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)), shape)
-
-
-def direct_convolve(kernel_values: np.ndarray, f_values: np.ndarray, vol: float) -> np.ndarray:
-    """Brute-force periodic convolution (K * f)(x_k) = sum_l K(x_k - x_l) f(x_l) vol.
-
-    O(P^2) in the point count P; intended for small grids and benchmarks.
-    """
-    shape = f_values.shape
-    offsets = _offsets_table(shape)
-    kflat = np.ascontiguousarray(kernel_values.reshape(-1), dtype=complex)
-    fflat = np.ascontiguousarray(f_values.reshape(-1), dtype=complex)
-    if USING_NUMBA:
-        out = _direct_convolve_flat_numba(kflat, fflat, offsets, float(vol))
-    else:
-        out = (kflat[offsets] * fflat[None, :]).sum(axis=1) * vol
-    return out.reshape(shape)

@@ -45,18 +45,16 @@ class RunConfig:
     N: int
     L: float
     order: int | None
-    rot_order: int
     p_list: tuple[float, ...]
     seed: int
     tol: dict
     out: str
-    threads: int | None
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        # output location and thread count do not affect any computed value,
-        # so they are excluded to keep reruns byte-identical across directories
-        del d["out"], d["threads"]
+        # the output location does not affect any computed value, so it is
+        # excluded to keep reruns byte-identical across directories
+        del d["out"]
         d["p_list"] = ["inf" if np.isinf(p) else p for p in self.p_list]
         d["version"] = __version__
         return d
@@ -95,13 +93,14 @@ def _write_json(path: str, config: RunConfig, payload: dict):
         fh.write("\n")
 
 
+def _default_order(phi) -> int:
+    """Sphere-quadrature order for a catalog symbol: kinked symbols converge slowly."""
+    return INDICATOR_ORDER if phi.kink else SMOOTH_ORDER
+
+
 def _symbol_and_order(cfg: RunConfig):
     phi = parse_symbol_spec(cfg.symbol, cfg.n)
-    if cfg.order is not None:
-        order = cfg.order
-    else:
-        order = INDICATOR_ORDER if phi.name in ("ball_indicator", "box_indicator") else SMOOTH_ORDER
-    return phi, order
+    return phi, cfg.order if cfg.order is not None else _default_order(phi)
 
 
 def cmd_radialize(cfg: RunConfig) -> int:
@@ -220,8 +219,7 @@ def cmd_demo(cfg: RunConfig) -> int:
     radii = default_radii(grid)
     summary = []
     for label, phi in reference_catalog(cfg.n):
-        order = INDICATOR_ORDER if label in ("ballind", "boxind") else SMOOTH_ORDER
-        sq = sphere_quadrature(cfg.n, order)
+        sq = sphere_quadrature(cfg.n, _default_order(phi))
         proj = project(phi, cfg.n, radii, sq)
         rows = [
             [float(r), float(v.real), float(v.imag)]
@@ -267,12 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=64, help="points per axis N")
         p.add_argument("--extent", type=float, default=16.0, help="box extent L")
         p.add_argument("--order", type=int, default=None, help="sphere quadrature order")
-        p.add_argument("--rot-order", type=int, default=64, help="rotation quadrature order")
         p.add_argument("--p", default="2", help="comma list of exponents, e.g. 1.5,2,4,inf")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--tol", action="append", default=[], help="override, name=value")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=None)
         if name == "converge":
             p.add_argument("--r", type=float, default=2.0, help="radius of the sphere average")
             p.add_argument("--orders", default="8,16,32,64", help="comma list of orders")
@@ -289,20 +285,22 @@ def main(argv: list[str] | None = None) -> int:
             N=args.grid,
             L=args.extent,
             order=args.order,
-            rot_order=args.rot_order,
             p_list=_parse_p_list(args.p),
             seed=args.seed,
             tol=_parse_tol(args.tol),
             out=args.out,
-            threads=args.threads,
         )
         make_grid(cfg.n, cfg.N, cfg.L)  # fail fast on bad grid parameters
         if cfg.command in ("radialize", "norms", "positivity", "converge") and not cfg.symbol:
             raise ValueError(f"{cfg.command} requires --symbol")
         if cfg.command in ("radialize", "norms", "positivity", "converge"):
             parse_symbol_spec(cfg.symbol, cfg.n)
-        if cfg.threads is not None and cfg.threads > 0:
-            os.environ.setdefault("NUMBA_NUM_THREADS", str(cfg.threads))
+        orders = [int(t) for t in args.orders.split(",")] if cfg.command == "converge" else []
+        for m in orders + ([] if cfg.order is None else [cfg.order]):
+            if m < 2:
+                raise ValueError(f"sphere quadrature order must be >= 2, got {m}")
+        if cfg.command == "converge" and args.r < 0:
+            raise ValueError(f"--r must be nonnegative, got {args.r}")
     except (ValueError, SymbolSpecError, argparse.ArgumentTypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -314,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.command == "positivity":
         return cmd_positivity(cfg)
     if cfg.command == "converge":
-        return cmd_converge(cfg, args.r, [int(t) for t in args.orders.split(",")])
+        return cmd_converge(cfg, args.r, orders)
     if cfg.command == "verify":
         return cmd_verify(cfg)
     if cfg.command == "demo":

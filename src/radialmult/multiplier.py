@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .grid import FrequencyGrid, GridFunction, VectorGridFunction
-from .rotation import Rotation, RotationQuadrature, is_lattice_preserving
+from .rotation import Rotation, RotationQuadrature, _permute_lattice, is_lattice_preserving
 from .symbols import Symbol, sample_symbol
 
 __all__ = [
@@ -80,10 +80,7 @@ def _rotate_values(values: np.ndarray, grid: FrequencyGrid, R: Rotation, mode: s
     if mode == "exact":
         if not is_lattice_preserving(R):
             raise ValueError("exact-mode rotation requires a lattice-preserving R")
-        M = np.round(R.M).astype(int)
-        idx = np.stack(np.meshgrid(*([grid.index_axis()] * grid.n), indexing="ij"), axis=0)
-        target = np.mod(np.tensordot(M, idx, axes=([1], [0])), grid.N)
-        return values[tuple(target)]
+        return _permute_lattice(values, grid, R)
     if mode == "interp":
         return _kernels.rotate_interp(values, R.M, grid.index_axis())
     raise ValueError(f"mode must be 'exact' or 'interp', got {mode!r}")

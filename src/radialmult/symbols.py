@@ -11,7 +11,8 @@ A symbol is a complex function of frequency.  Three representations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,8 @@ __all__ = [
     "SampledSymbol",
     "RadialSymbol",
     "RadialProfile",
+    "SymbolSpec",
+    "SYMBOL_SPECS",
     "make_named_symbol",
     "eval_symbol",
     "sample_symbol",
@@ -77,34 +80,147 @@ class RadialProfile:
         return re + 1j * im
 
 
-# name -> (required params, validator). Validation errors name the offender.
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def _check_spd(A: np.ndarray, n: int) -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    if A.shape != (n, n):
-        raise ValueError(f"matrix parameter must be {n}x{n}, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12):
-        raise ValueError("matrix parameter must be symmetric")
-    if np.min(np.linalg.eigvalsh(A)) <= 0:
-        raise ValueError("matrix parameter must be positive definite")
+    _require(A.shape == (n, n), f"matrix parameter must be {n}x{n}, got shape {A.shape}")
+    _require(np.allclose(A, A.T, atol=1e-12), "matrix parameter must be symmetric")
+    _require(np.min(np.linalg.eigvalsh(A)) > 0, "matrix parameter must be positive definite")
     return A
 
 
-def _check_positive(value, what: str) -> float:
-    value = float(value)
-    if not value > 0:
-        raise ValueError(f"{what} must be positive, got {value}")
-    return value
+def _positive(key: str):
+    """Check for one positive scalar parameter."""
+
+    def check(p: dict, n: int) -> dict:
+        value = float(p[key])
+        _require(value > 0, f"{key} must be positive, got {value}")
+        return {key: value}
+
+    return check
+
+
+def _cli_scalar(key: str):
+    return lambda kv, n: {key: kv.get(key, 1.0)}
+
+
+def _check_riesz(p: dict, n: int) -> dict:
+    j = int(p["j"])
+    _require(1 <= j <= n, f"component index must be in 1..{n}, got {j}")
+    return {"j": j}
+
+
+def _check_bochner_riesz(p: dict, n: int) -> dict:
+    _require(float(p["delta"]) >= 0, "delta must be nonnegative")
+    return {"delta": float(p["delta"])}
+
+
+def _check_monomial(p: dict, n: int) -> dict:
+    alpha = tuple(int(a) for a in p["alpha"])
+    _require(len(alpha) == n and min(alpha) >= 0,
+             f"alpha must be {n} nonnegative integers, got {p['alpha']}")
+    return {"alpha": alpha}
+
+
+def _check_modulation(p: dict, n: int) -> dict:
+    a = np.asarray(p["a"], dtype=float)
+    _require(a.shape == (n,), f"shift vector must have length {n}")
+    return {"a": tuple(float(v) for v in a)}
+
+
+def _gaussian_from_cli(kv: dict[str, float], n: int) -> dict:
+    """A from keys a<i><j>, mirrored to a<j><i>; unset diagonal entries are 1."""
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            key = f"a{i + 1}{j + 1}"
+            if key in kv:
+                A[i, j] = kv[key]
+                A[j, i] = kv[key]
+    for i in range(n):
+        if A[i, i] == 0.0:
+            A[i, i] = 1.0
+    return {"A": A}
+
+
+def _riesz(x: np.ndarray, p: dict) -> np.ndarray:
+    norms = np.linalg.norm(x, axis=-1)
+    safe = np.where(norms > 0, norms, 1.0)
+    return np.where(norms > 0, x[..., p["j"] - 1] / safe, 0.0).astype(complex)
+
+
+def _monomial(x: np.ndarray, p: dict) -> np.ndarray:
+    out = np.ones(x.shape[:-1])
+    for i, a in enumerate(p["alpha"]):
+        if a:
+            out = out * x[..., i] ** a
+    return out.astype(complex)
+
+
+@dataclass(frozen=True)
+class SymbolSpec:
+    """One catalog entry, the only place that lists the symbol.
+
+    check(params, n) validates catalog parameters and returns them with
+    normalized types; from_cli(kv, n) maps CLI key=value pairs to
+    catalog parameters; formula(points, params) evaluates at (..., n)
+    points.  kink marks a symbol whose jump makes sphere averages
+    converge slowly: it gets the indicator sphere-quadrature order.
+    """
+
+    cli_names: tuple[str, ...]
+    check: Callable[[dict, int], dict]
+    from_cli: Callable[[dict, int], dict]
+    formula: Callable[[np.ndarray, dict], np.ndarray]
+    kink: bool = False
+
+
+#: The symbol catalog, keyed by catalog name.
+SYMBOL_SPECS: dict[str, SymbolSpec] = {
+    "constant": SymbolSpec(
+        ("const", "constant"), lambda p, n: {"c": complex(p["c"])}, _cli_scalar("c"),
+        lambda x, p: np.full(x.shape[:-1], p["c"])),
+    "gaussian_aniso": SymbolSpec(
+        ("gaussaniso",), lambda p, n: {"A": _check_spd(p["A"], n)}, _gaussian_from_cli,
+        lambda x, p: np.exp(-np.einsum("...i,ij,...j->...", x, p["A"], x)).astype(complex)),
+    "heat": SymbolSpec(
+        ("heat",), _positive("t"), _cli_scalar("t"),
+        lambda x, p: np.exp(-p["t"] * np.sum(x**2, axis=-1)).astype(complex)),
+    "poisson": SymbolSpec(
+        ("poisson",), _positive("t"), _cli_scalar("t"),
+        lambda x, p: np.exp(-p["t"] * np.linalg.norm(x, axis=-1)).astype(complex)),
+    "ball_indicator": SymbolSpec(
+        ("ballind",), _positive("rho"), lambda kv, n: {"rho": kv.get("rho", kv.get("r", 1.0))},
+        lambda x, p: (np.linalg.norm(x, axis=-1) <= p["rho"]).astype(complex), kink=True),
+    "box_indicator": SymbolSpec(
+        ("boxind",), _positive("a"), _cli_scalar("a"),
+        lambda x, p: (np.max(np.abs(x), axis=-1) <= p["a"]).astype(complex), kink=True),
+    "riesz": SymbolSpec(
+        ("riesz",), _check_riesz, lambda kv, n: {"j": int(kv.get("j", 1))}, _riesz),
+    "bochner_riesz": SymbolSpec(
+        ("bochnerriesz",), _check_bochner_riesz, _cli_scalar("delta"),
+        lambda x, p: (np.clip(1.0 - np.sum(x**2, axis=-1), 0.0, None) ** p["delta"]).astype(complex)),
+    "monomial": SymbolSpec(
+        ("monomial",), _check_monomial,
+        lambda kv, n: {"alpha": tuple(int(kv.get(f"a{i + 1}", 0)) for i in range(n))}, _monomial),
+    "modulation": SymbolSpec(
+        ("modulation",), _check_modulation,
+        lambda kv, n: {"a": tuple(kv.get(f"a{i + 1}", 0.0) for i in range(n))},
+        lambda x, p: np.exp(1j * np.tensordot(x, np.asarray(p["a"]), axes=([-1], [0])))),
+}
 
 
 @dataclass(frozen=True)
 class NamedSymbol(Symbol):
-    """Closed-form catalog symbol.
+    """Closed-form catalog symbol; the catalog is `SYMBOL_SPECS`.
 
-    Catalog: constant(c), gaussian_aniso(A), heat(t), poisson(t),
-    ball_indicator(rho), box_indicator(a), riesz(j), bochner_riesz(delta),
-    monomial(alpha), modulation(a).  The Riesz symbol xi_j/|xi| is
-    assigned the value 0 at the origin, which keeps its odd symmetry
-    exact on symmetric node sets.
+    Parameters are validated and type-normalized on construction.  The
+    Riesz symbol xi_j/|xi| is assigned the value 0 at the origin, which
+    keeps its odd symmetry exact on symmetric node sets.
     """
 
     name: str
@@ -112,90 +228,23 @@ class NamedSymbol(Symbol):
     n: int
 
     def __post_init__(self):
-        _validate_named(self.name, self.params, self.n)
+        _require(self.n in (1, 2, 3), f"dimension must be 1, 2 or 3, got {self.n}")
+        _require(self.name in SYMBOL_SPECS, f"unknown symbol name {self.name!r}")
+        object.__setattr__(self, "params", SYMBOL_SPECS[self.name].check(self.params, self.n))
+
+    @property
+    def kink(self) -> bool:
+        return SYMBOL_SPECS[self.name].kink
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.shape[-1] != self.n:
             raise ValueError(f"points must have last axis {self.n}, got {points.shape}")
-        name, p = self.name, self.params
-        if name == "constant":
-            return np.full(points.shape[:-1], complex(p["c"]))
-        if name == "gaussian_aniso":
-            A = np.asarray(p["A"], dtype=float)
-            quad = np.einsum("...i,ij,...j->...", points, A, points)
-            return np.exp(-quad).astype(complex)
-        if name == "heat":
-            return np.exp(-p["t"] * np.sum(points**2, axis=-1)).astype(complex)
-        if name == "poisson":
-            return np.exp(-p["t"] * np.linalg.norm(points, axis=-1)).astype(complex)
-        if name == "ball_indicator":
-            return (np.linalg.norm(points, axis=-1) <= p["rho"]).astype(complex)
-        if name == "box_indicator":
-            return (np.max(np.abs(points), axis=-1) <= p["a"]).astype(complex)
-        if name == "riesz":
-            j = p["j"] - 1
-            norms = np.linalg.norm(points, axis=-1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(norms > 0, points[..., j] / np.where(norms > 0, norms, 1.0), 0.0)
-            return out.astype(complex)
-        if name == "bochner_riesz":
-            base = np.clip(1.0 - np.sum(points**2, axis=-1), 0.0, None)
-            return (base ** p["delta"]).astype(complex)
-        if name == "monomial":
-            alpha = p["alpha"]
-            out = np.ones(points.shape[:-1])
-            for i, a in enumerate(alpha):
-                if a:
-                    out = out * points[..., i] ** a
-            return out.astype(complex)
-        if name == "modulation":
-            a = np.asarray(p["a"], dtype=float)
-            return np.exp(1j * np.tensordot(points, a, axes=([-1], [0])))
-        raise ValueError(f"unknown symbol name {name!r}")  # unreachable after validation
-
-
-def _validate_named(name: str, params: dict, n: int) -> None:
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    if name == "constant":
-        complex(params["c"])
-    elif name == "gaussian_aniso":
-        _check_spd(params["A"], n)
-    elif name in ("heat", "poisson"):
-        _check_positive(params["t"], "t")
-    elif name == "ball_indicator":
-        _check_positive(params["rho"], "rho")
-    elif name == "box_indicator":
-        _check_positive(params["a"], "a")
-    elif name == "riesz":
-        j = int(params["j"])
-        if not 1 <= j <= n:
-            raise ValueError(f"component index must be in 1..{n}, got {j}")
-    elif name == "bochner_riesz":
-        if float(params["delta"]) < 0:
-            raise ValueError("delta must be nonnegative")
-    elif name == "monomial":
-        alpha = tuple(int(a) for a in params["alpha"])
-        if len(alpha) != n or any(a < 0 for a in alpha):
-            raise ValueError(f"alpha must be {n} nonnegative integers, got {params['alpha']}")
-    elif name == "modulation":
-        a = np.asarray(params["a"], dtype=float)
-        if a.shape != (n,):
-            raise ValueError(f"shift vector must have length {n}")
-    else:
-        raise ValueError(f"unknown symbol name {name!r}")
+        return SYMBOL_SPECS[self.name].formula(points, self.params)
 
 
 def make_named_symbol(name: str, params: dict, n: int) -> NamedSymbol:
     """Build a catalog symbol, normalizing parameter types."""
-    params = dict(params)
-    if name == "gaussian_aniso":
-        params["A"] = _check_spd(params["A"], n)
-    if name == "monomial":
-        params["alpha"] = tuple(int(a) for a in params["alpha"])
-    if name == "modulation":
-        params["a"] = tuple(float(v) for v in np.asarray(params["a"], dtype=float))
     return NamedSymbol(name=name, params=params, n=n)
 
 
@@ -270,21 +319,9 @@ def sample_symbol(phi: Symbol, grid: FrequencyGrid) -> SampledSymbol:
 # --- CLI mini-language ------------------------------------------------------
 #
 # Spec strings look like  name:key=val,key=val  e.g. heat:t=1.0 or
-# gaussaniso:a11=1,a22=4.  Alias table maps short CLI names to catalog ids.
+# gaussaniso:a11=1,a22=4, where name is one of a catalog entry's cli_names.
 
-_ALIASES = {
-    "const": "constant",
-    "constant": "constant",
-    "heat": "heat",
-    "poisson": "poisson",
-    "gaussaniso": "gaussian_aniso",
-    "ballind": "ball_indicator",
-    "boxind": "box_indicator",
-    "riesz": "riesz",
-    "bochnerriesz": "bochner_riesz",
-    "monomial": "monomial",
-    "modulation": "modulation",
-}
+_CLI_NAMES = {cli: name for name, spec in SYMBOL_SPECS.items() for cli in spec.cli_names}
 
 
 class SymbolSpecError(ValueError):
@@ -298,7 +335,7 @@ class SymbolSpecError(ValueError):
 def parse_symbol_spec(spec: str, n: int) -> NamedSymbol:
     """Parse `name:key=val,...` into a catalog symbol for dimension n."""
     head, sep, tail = spec.partition(":")
-    if head not in _ALIASES:
+    if head not in _CLI_NAMES:
         raise SymbolSpecError(spec, 0, f"unknown symbol name {head!r}")
     kv: dict[str, float] = {}
     pos = len(head) + len(sep)
@@ -312,41 +349,9 @@ def parse_symbol_spec(spec: str, n: int) -> NamedSymbol:
             except ValueError:
                 raise SymbolSpecError(spec, pos + len(key) + 1, f"bad number {val!r}") from None
             pos += len(item) + 1
-    name = _ALIASES[head]
+    name = _CLI_NAMES[head]
     try:
-        params = _assemble_params(name, kv, n)
-        return make_named_symbol(name, params, n)
+        return make_named_symbol(name, SYMBOL_SPECS[name].from_cli(kv, n), n)
     except (KeyError, ValueError) as exc:
         raise SymbolSpecError(spec, len(head) + 1, str(exc)) from None
 
-
-def _assemble_params(name: str, kv: dict[str, float], n: int) -> dict:
-    if name == "constant":
-        return {"c": kv.get("c", 1.0)}
-    if name in ("heat", "poisson"):
-        return {"t": kv.get("t", 1.0)}
-    if name == "gaussian_aniso":
-        A = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                key = f"a{i + 1}{j + 1}"
-                if key in kv:
-                    A[i, j] = kv[key]
-                    A[j, i] = kv[key]
-        for i in range(n):
-            if A[i, i] == 0.0:
-                A[i, i] = 1.0
-        return {"A": A}
-    if name == "ball_indicator":
-        return {"rho": kv.get("rho", kv.get("r", 1.0))}
-    if name == "box_indicator":
-        return {"a": kv.get("a", 1.0)}
-    if name == "riesz":
-        return {"j": int(kv.get("j", 1))}
-    if name == "bochner_riesz":
-        return {"delta": kv.get("delta", 1.0)}
-    if name == "monomial":
-        return {"alpha": tuple(int(kv.get(f"a{i + 1}", 0)) for i in range(n))}
-    if name == "modulation":
-        return {"a": tuple(kv.get(f"a{i + 1}", 0.0) for i in range(n))}
-    raise ValueError(f"unknown symbol name {name!r}")

@@ -39,8 +39,6 @@ from .symbols import RadialSymbol, SampledSymbol, eval_symbol, make_named_symbol
 
 __all__ = ["CheckResult", "VerifyConfig", "reference_catalog", "run_all", "CRITERIA"]
 
-INDICATOR_LABELS = {"ballind", "boxind"}
-
 
 def reference_catalog(n: int) -> list[tuple[str, object]]:
     """The reference-parameter symbol catalog used by all catalog-wide checks."""
@@ -93,7 +91,7 @@ class _Context:
         self._proj_small: dict[str, RadialSymbol] = {}
 
     def sq_for(self, label: str):
-        return self.sq_indicator if label in INDICATOR_LABELS else self.sq_smooth
+        return self.sq_indicator if dict(self.catalog)[label].kink else self.sq_smooth
 
     def projection(self, label: str) -> RadialSymbol:
         if label not in self._proj:

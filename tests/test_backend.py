@@ -1,43 +1,38 @@
-"""Numba and pure-numpy kernel paths must agree bit-for-bit-close."""
-
-import os
-import subprocess
-import sys
+"""Periodic cubic-spline rotation against analytically rotated Gaussians."""
 
 import numpy as np
 
-from radialmult import make_grid
+from radialmult import haar_rotation, make_grid
 from radialmult import _kernels
 
 
-def test_rotate_interp_numba_matches_numpy():
-    g = make_grid(2, 32, 8.0)
-    rng = np.random.default_rng(0)
-    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+def _gaussian(x, A):
+    return np.exp(-np.einsum("...i,ij,...j->...", x, A, x))
+
+
+def _max_error(N, R, A, L=8.0):
+    """max |rotate_interp(f)(x) - f(R x)| over the grid, for f(x) = exp(-x.Ax)."""
+    g = make_grid(len(A), N, L)
+    x = g.space_mesh()
+    out = _kernels.rotate_interp(_gaussian(x, A) + 0j, R, g.index_axis())
+    return np.max(np.abs(out - _gaussian(x @ R.T, A)))
+
+
+def test_rotate_interp_2d_agreement():
     th = 0.37
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    coeffs = _kernels.spline_prefilter(vals)
-    ref = _kernels._rotate_spline_numpy(coeffs, R, g.index_axis().astype(float))
-    out = _kernels.rotate_interp(vals, R, g.index_axis())
-    assert np.max(np.abs(out - ref)) <= 1e-12
+    A = np.diag([1.0, 2.0])
+    coarse, fine = _max_error(32, R, A), _max_error(64, R, A)
+    assert coarse <= 1e-3 and fine <= 1e-4
+    assert coarse / fine >= 12.0  # fourth order: halving dx divides the error by ~16
 
 
 def test_rotate_interp_3d_agreement():
-    g = make_grid(3, 8, 4.0)
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(g.shape) + 0j
-    th = 0.5
-    R = np.array(
-        [
-            [np.cos(th), -np.sin(th), 0.0],
-            [np.sin(th), np.cos(th), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    coeffs = _kernels.spline_prefilter(vals)
-    ref = _kernels._rotate_spline_numpy(coeffs, R, g.index_axis().astype(float))
-    out = _kernels.rotate_interp(vals, R, g.index_axis())
-    assert np.max(np.abs(out - ref)) <= 1e-12
+    R = haar_rotation(3, np.random.default_rng(0)).M
+    A = np.diag([1.0, 2.0, 3.0])
+    coarse, fine = _max_error(16, R, A), _max_error(32, R, A)
+    assert coarse <= 1.5e-2 and fine <= 2e-3
+    assert coarse / fine >= 5.0  # above the second-order ratio 4; pre-asymptotic at N=16
 
 
 def test_rotate_interp_identity_reproduces_samples():
@@ -46,24 +41,3 @@ def test_rotate_interp_identity_reproduces_samples():
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     out = _kernels.rotate_interp(vals, np.eye(2), g.index_axis())
     assert np.max(np.abs(out - vals)) <= 1e-12
-
-
-def test_direct_convolve_agrees_with_fft():
-    g = make_grid(2, 8, 4.0)
-    rng = np.random.default_rng(3)
-    K = rng.standard_normal(g.shape) + 0j
-    f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    out = _kernels.direct_convolve(K, f, g.dx**2)
-    ref = np.fft.ifftn(np.fft.fftn(K) * np.fft.fftn(f)) * g.dx**2
-    assert np.max(np.abs(out - ref)) <= 1e-10
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import radialmult._kernels as k; print(k.USING_NUMBA)"
-    )
-    env = dict(os.environ, RADIALMULT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"

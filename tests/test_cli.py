@@ -103,6 +103,11 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["radialize", "--out", str(tmp_path)]) == 2  # missing --symbol
     assert main(["radialize", "--symbol", "heat:t=1", "--grid", "15", "--out", str(tmp_path)]) == 2
     assert main(["norms", "--symbol", "heat:t=abc", "--out", str(tmp_path)]) == 2
+    heat = ["--symbol", "heat:t=1", "--out", str(tmp_path)]
+    assert main(["converge", *heat, "--orders", "8,x"]) == 2
+    assert main(["converge", *heat, "--orders", "1,8"]) == 2
+    assert main(["radialize", *heat, "--order", "1"]) == 2
+    assert main(["converge", *heat, "--r", "-1"]) == 2
 
 
 def test_csv_embeds_config(tmp_path):
@@ -112,3 +117,8 @@ def test_csv_embeds_config(tmp_path):
     cfg = json.loads(text.splitlines()[1].removeprefix("# config "))
     assert cfg["command"] == "converge" and cfg["seed"] == 7
     assert "version" in cfg
+    assert "rot_order" not in cfg and "threads" not in cfg
+    for removed in (["--threads", "2"], ["--rot-order", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--symbol", "heat:t=1", *removed, "--out", out])
+        assert exc.value.code == 2

@@ -13,7 +13,7 @@ from radialmult import (
     parse_symbol_spec,
     sample_symbol,
 )
-from radialmult.symbols import SymbolSpecError
+from radialmult.symbols import SYMBOL_SPECS, SymbolSpecError
 
 
 def test_heat_value():
@@ -129,17 +129,40 @@ def test_sampled_off_lattice_errors():
         sample_symbol(s, g2)
 
 
-def test_parse_symbol_spec():
-    phi = parse_symbol_spec("heat:t=1.0", 2)
-    assert phi.name == "heat" and phi.params["t"] == 1.0
-    phi = parse_symbol_spec("gaussaniso:a11=1,a22=4", 2)
-    assert eval_symbol(phi, (1.0, 1.0)) == pytest.approx(np.exp(-5.0), abs=1e-14)
-    phi = parse_symbol_spec("boxind:a=1.0", 2)
-    assert eval_symbol(phi, (0.5, 0.5)) == 1.0
-    phi = parse_symbol_spec("const:c=2", 3)
-    assert eval_symbol(phi, (0.0, 0.0, 0.0)) == 2.0
-    phi = parse_symbol_spec("monomial:a1=2,a2=0", 2)
-    assert eval_symbol(phi, (3.0, 5.0)) == 9.0
+PARSE_CASES = [
+    ("const:c=2", 3, (0.0, 0.0, 0.0), 2.0),
+    ("constant:c=2", 2, (0.3, 0.4), 2.0),
+    ("heat:t=1.0", 2, (1.0, 0.0), np.exp(-1.0)),
+    ("poisson:t=2", 2, (3.0, 4.0), np.exp(-10.0)),
+    ("gaussaniso:a11=1,a22=4", 2, (1.0, 1.0), np.exp(-5.0)),
+    ("ballind:rho=0.5", 2, (0.3, 0.3), 1.0),
+    ("ballind:r=0.5", 2, (0.3, 0.41), 0.0),  # r is an alias of rho
+    ("boxind:a=1.0", 2, (0.5, 0.5), 1.0),
+    ("riesz:j=2", 2, (3.0, 4.0), 0.8),
+    ("bochnerriesz:delta=2", 2, (0.6, 0.0), 0.64**2),
+    ("monomial:a1=2,a2=0", 2, (3.0, 5.0), 9.0),
+    ("modulation:a1=1", 2, (np.pi, 0.0), -1.0),
+]
+
+
+@pytest.mark.parametrize("spec,n,xi,want", PARSE_CASES, ids=[c[0] for c in PARSE_CASES])
+def test_parse_symbol_spec(spec, n, xi, want):
+    phi = parse_symbol_spec(spec, n)
+    assert spec.partition(":")[0] in SYMBOL_SPECS[phi.name].cli_names
+    assert eval_symbol(phi, xi) == pytest.approx(want, abs=1e-12)
+
+
+def test_parse_cases_cover_every_cli_name():
+    cli_names = {cli for spec in SYMBOL_SPECS.values() for cli in spec.cli_names}
+    assert {spec.partition(":")[0] for spec, *_ in PARSE_CASES} == cli_names
+
+
+def test_kink_marks_exactly_the_indicators():
+    assert {name for name, spec in SYMBOL_SPECS.items() if spec.kink} == {
+        "ball_indicator",
+        "box_indicator",
+    }
+    assert parse_symbol_spec("ballind", 2).kink and not parse_symbol_spec("heat", 2).kink
 
 
 def test_parse_symbol_spec_errors_carry_position():
