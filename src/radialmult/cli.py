@@ -178,7 +178,7 @@ def cmd_positivity(cfg: RunConfig) -> int:
 
 def cmd_converge(cfg: RunConfig, radius: float, orders: list[int]) -> int:
     phi, _ = _symbol_and_order(cfg)
-    oracle = spherical_mean(phi, radius, sphere_quadrature(cfg.n, 4096))
+    oracle = spherical_mean(phi, radius, sphere_quadrature(cfg.n, INDICATOR_ORDER))
     rows = []
     for m in orders:
         approx = spherical_mean(phi, radius, sphere_quadrature(cfg.n, m))
@@ -301,6 +301,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"sphere quadrature order must be >= 2, got {m}")
         if cfg.command == "converge" and args.r < 0:
             raise ValueError(f"--r must be nonnegative, got {args.r}")
+        for p in cfg.p_list:
+            if not p >= 1:
+                raise ValueError(f"exponents must satisfy p >= 1, got {p}")
+        for name, value in cfg.tol.items():
+            if not value >= 0:
+                raise ValueError(f"tolerance {name} must be nonnegative, got {value}")
+        if cfg.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {cfg.seed}")
     except (ValueError, SymbolSpecError, argparse.ArgumentTypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

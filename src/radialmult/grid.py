@@ -61,10 +61,6 @@ class FrequencyGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.n
 
-    @property
-    def num_points(self) -> int:
-        return self.N**self.n
-
     def index_axis(self) -> np.ndarray:
         """Signed lattice indices j in FFT storage order: 0..N/2-1, -N/2..-1."""
         half = self.N // 2
@@ -109,8 +105,8 @@ def make_grid(n: int, N: int, L: float) -> FrequencyGrid:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
     if not isinstance(N, (int, np.integer)) or N < 4 or N % 2 != 0:
         raise ValueError(f"points per axis must be an even integer >= 4, got {N}")
-    if not L > 0:
-        raise ValueError(f"extent must be positive, got {L}")
+    if not (L > 0 and np.isfinite(L)):
+        raise ValueError(f"extent must be positive and finite, got {L}")
     return FrequencyGrid(n=int(n), N=int(N), L=float(L))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FrequencyGrid
-from .multiplier import MultiplierOperator, kernel, positivity_report
+from .multiplier import MultiplierOperator, _multiply, kernel, positivity_report
 from .radialize import default_radii, project
 from .rotation import sphere_quadrature
 from .symbols import Symbol, eval_symbol
@@ -110,12 +110,6 @@ def norm_lower_power(
     def norm_p(x):
         return (np.sum(np.abs(x) ** p) * vol) ** (1.0 / p)
 
-    def fwd(x):
-        return np.fft.ifftn(np.fft.fftn(x) * sym)
-
-    def adj(x):
-        return np.fft.ifftn(np.fft.fftn(x) * sym_conj)
-
     best = 0.0
     best_iters = 0
     best_history: tuple = ()
@@ -129,13 +123,13 @@ def norm_lower_power(
             if nx == 0.0:
                 break
             x = x / nx
-            y = fwd(x)
+            y = _multiply(sym, x)
             est = norm_p(y)
             history.append(est)
             if est == 0.0:
                 break
             s = np.abs(y) ** (p - 1.0) * _phase(y)
-            z = adj(s)
+            z = _multiply(sym_conj, s)
             x = np.abs(z) ** (q - 1.0) * _phase(z)
             if est - est_prev <= POWER_RELATIVE_GAIN * est:
                 break

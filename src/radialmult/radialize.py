@@ -28,15 +28,12 @@ __all__ = [
     "default_radii",
     "SMOOTH_ORDER",
     "INDICATOR_ORDER",
-    "RADIAL_DEVIATION_TOL",
 ]
 
 #: Default sphere-quadrature order for smooth symbols.
 SMOOTH_ORDER = 256
 #: Default sphere-quadrature order for indicator symbols (kinks converge slowly).
 INDICATOR_ORDER = 4096
-#: Default threshold below which a symbol counts as radial.
-RADIAL_DEVIATION_TOL = 1e-8
 
 
 def default_radii(grid: FrequencyGrid) -> np.ndarray:
@@ -61,33 +58,41 @@ def _require_pointwise(phi: Symbol) -> None:
         raise ValueError("sampled symbols cannot be evaluated off-lattice; resample a closed form")
 
 
-def spherical_mean(phi: Symbol, r: float, sq: SphereQuadrature) -> complex:
-    """Average of phi over the sphere of radius r; phi(0) exactly at r = 0."""
+def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
+    """Average of phi over the sphere of each radius; phi(0) exactly at r = 0.
+
+    All positive radii are evaluated in one batch of radii x nodes points.
+    """
     _require_pointwise(phi)
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
     if phi.n != sq.n:
         raise ValueError("symbol and quadrature dimension mismatch")
-    if r == 0.0:
-        return eval_symbol(phi, np.zeros(phi.n))
-    vals = phi.evaluate(r * sq.nodes)
-    mean = complex(np.dot(sq.weights, vals))
-    # convex-average bound; the mechanism behind contractivity at p = 2
-    assert abs(mean) <= np.max(np.abs(vals)) + 1e-13
-    return mean
+    radii = np.asarray(radii, dtype=float)
+    if np.any(radii < 0):
+        raise ValueError(f"radii must be nonnegative, got {radii.min()}")
+    means = np.empty(radii.shape, dtype=complex)
+    origin = radii == 0.0
+    if origin.any():
+        means[origin] = eval_symbol(phi, np.zeros(phi.n))
+    if not origin.all():
+        vals = phi.evaluate(radii[~origin, None, None] * sq.nodes[None, :, :])  # (K, m)
+        means[~origin] = vals @ sq.weights
+        # convex-average bound; the mechanism behind contractivity at p = 2
+        if np.any(np.abs(means[~origin]) > np.max(np.abs(vals), axis=1) + 1e-13):
+            raise ArithmeticError("sphere mean exceeds the largest sampled value")
+    return means
+
+
+def spherical_mean(phi: Symbol, r: float, sq: SphereQuadrature) -> complex:
+    """Average of phi over the sphere of radius r; phi(0) exactly at r = 0."""
+    return complex(_sphere_means(phi, np.array([r]), sq)[0])
 
 
 def project(phi: Symbol, n: int, radii: np.ndarray, sq: SphereQuadrature) -> RadialSymbol:
     """Rotation average of phi as a radial profile over the given radii."""
-    _require_pointwise(phi)
     if phi.n != n or sq.n != n:
         raise ValueError("symbol, quadrature and requested dimension must agree")
     radii = np.asarray(radii, dtype=float)
-    points = radii[1:, None, None] * sq.nodes[None, :, :]
-    vals = phi.evaluate(points)  # (K, m)
-    means = vals @ sq.weights
-    assert np.all(np.abs(means) <= np.max(np.abs(vals), axis=1) + 1e-13)
-    values = np.concatenate([[eval_symbol(phi, np.zeros(n))], means])
+    values = _sphere_means(phi, radii, sq)
     return RadialSymbol(profile=RadialProfile(radii=radii, values=values), n=n)
 
 
@@ -105,10 +110,7 @@ def project_mc(phi: Symbol, grid: FrequencyGrid, rq: RotationQuadrature) -> Samp
 
 
 def radial_deviation(phi: Symbol, grid: FrequencyGrid, sq: SphereQuadrature) -> float:
-    """Max over the lattice (Nyquist rows excluded) of |phi(xi) - mean(phi; |xi|)|.
-
-    A symbol counts as radial when this is below RADIAL_DEVIATION_TOL.
-    """
+    """Max over the lattice (Nyquist rows excluded) of |phi(xi) - mean(phi; |xi|)|."""
     _require_pointwise(phi)
     mesh = grid.frequency_mesh()
     keep = ~grid.nyquist_mask()
@@ -117,7 +119,5 @@ def radial_deviation(phi: Symbol, grid: FrequencyGrid, sq: SphereQuadrature) -> 
     norms = np.linalg.norm(points, axis=-1)
     # group bit-identical radii; symmetric lattice points repeat heavily
     radii, inverse = np.unique(norms, return_inverse=True)
-    means = np.empty(radii.shape, dtype=complex)
-    for i, r in enumerate(radii):
-        means[i] = spherical_mean(phi, float(r), sq)
+    means = _sphere_means(phi, radii, sq)
     return float(np.max(np.abs(phi_vals - means[inverse])))

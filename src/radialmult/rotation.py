@@ -58,9 +58,6 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(self.n, self.M.T)
 
-    def __matmul__(self, other: "Rotation") -> "Rotation":
-        return Rotation(self.n, self.M @ other.M)
-
 
 @dataclass(frozen=True)
 class RotationQuadrature:
@@ -178,14 +175,12 @@ def sphere_quadrature(n: int, m: int) -> SphereQuadrature:
     ct, wt = np.polynomial.legendre.leggauss(m)
     phis = 2.0 * np.pi * np.arange(m) / m
     st = np.sqrt(1.0 - ct**2)
-    nodes = np.empty((m * m, 3))
-    weights = np.empty(m * m)
-    k = 0
-    for i in range(m):
-        for j in range(m):
-            nodes[k] = (st[i] * np.cos(phis[j]), st[i] * np.sin(phis[j]), ct[i])
-            weights[k] = wt[i] / 2.0 / m
-            k += 1
+    # node i*m + j sits at polar node i and azimuth j
+    nodes = np.stack(
+        [np.outer(st, np.cos(phis)).ravel(), np.outer(st, np.sin(phis)).ravel(), np.repeat(ct, m)],
+        axis=1,
+    )
+    weights = np.repeat(wt / 2.0 / m, m)
     weights = weights / weights.sum()
     return SphereQuadrature(3, nodes, weights)
 
@@ -222,7 +217,8 @@ def octahedral_rotations() -> list[Rotation]:
                 M[row, col] = s
             if np.linalg.det(M) > 0:
                 out.append(Rotation(3, M))
-    assert len(out) == 24
+    if len(out) != 24:
+        raise RuntimeError(f"expected 24 cube rotations, built {len(out)}")
     return out
 
 

@@ -25,7 +25,7 @@ from .multiplier import (
     positivity_report,
 )
 from .norms import norm_lower_power, norm_p2_exact, norm_upper_kernel
-from .radialize import default_radii, project, spherical_mean
+from .radialize import INDICATOR_ORDER, SMOOTH_ORDER, default_radii, project, spherical_mean
 from .rotation import (
     c4_rotations,
     haar_rotation,
@@ -64,8 +64,8 @@ class VerifyConfig:
     n: int = 2
     N: int = 64
     L: float = 16.0
-    smooth_order: int = 256
-    indicator_order: int = 4096
+    smooth_order: int = SMOOTH_ORDER
+    indicator_order: int = INDICATOR_ORDER
     seed: int = 7
 
 
@@ -87,24 +87,18 @@ class _Context:
         self.sq_indicator = sphere_quadrature(cfg.n, cfg.indicator_order)
         self.catalog = reference_catalog(cfg.n)
         self.radii = default_radii(self.grid)
-        self._proj: dict[str, RadialSymbol] = {}
-        self._proj_small: dict[str, RadialSymbol] = {}
+        self._proj: dict[tuple, RadialSymbol] = {}
 
     def sq_for(self, label: str):
         return self.sq_indicator if dict(self.catalog)[label].kink else self.sq_smooth
 
-    def projection(self, label: str) -> RadialSymbol:
-        if label not in self._proj:
-            phi = dict(self.catalog)[label]
-            self._proj[label] = project(phi, self.cfg.n, self.radii, self.sq_for(label))
-        return self._proj[label]
-
-    def projection_small(self, label: str) -> RadialSymbol:
-        if label not in self._proj_small:
-            phi = dict(self.catalog)[label]
-            radii = default_radii(self.grid_small)
-            self._proj_small[label] = project(phi, self.cfg.n, radii, self.sq_for(label))
-        return self._proj_small[label]
+    def projection(self, label: str, grid=None) -> RadialSymbol:
+        """Projection of a catalog symbol on the lattice radii of `grid` (default: main grid)."""
+        grid = grid or self.grid
+        if (label, grid) not in self._proj:
+            phi, radii = dict(self.catalog)[label], default_radii(grid)
+            self._proj[label, grid] = project(phi, self.cfg.n, radii, self.sq_for(label))
+        return self._proj[label, grid]
 
 
 def check_idempotence(ctx: _Context) -> CheckResult:
@@ -210,7 +204,7 @@ def check_contractivity_estimates(ctx: _Context) -> CheckResult:
     grid = ctx.grid_small
     for label, phi in ctx.catalog:
         upper = norm_upper_kernel(MultiplierOperator(phi, grid)).value
-        proj_op = MultiplierOperator(ctx.projection_small(label), grid)
+        proj_op = MultiplierOperator(ctx.projection(label, grid), grid)
         for p in (1.5, 3.0, 4.0):
             lower = norm_lower_power(proj_op, p, trials=4, iters=100, seed=ctx.cfg.seed).value
             details[f"{label}_p{p}"] = upper * (1.0 + 1e-9) - lower

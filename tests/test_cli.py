@@ -108,6 +108,11 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["converge", *heat, "--orders", "1,8"]) == 2
     assert main(["radialize", *heat, "--order", "1"]) == 2
     assert main(["converge", *heat, "--r", "-1"]) == 2
+    assert main(["norms", *heat, "--p", "0.5"]) == 2
+    assert main(["norms", *heat, "--p", "nan"]) == 2
+    assert main(["positivity", *heat, "--tol", "positivity=-1"]) == 2
+    assert main(["norms", *heat, "--seed", "-1"]) == 2
+    assert main(["radialize", *heat, "--extent", "inf"]) == 2
 
 
 def test_csv_embeds_config(tmp_path):

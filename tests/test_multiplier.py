@@ -78,6 +78,51 @@ def test_apply_vector_d1_matches_scalar():
     assert np.array_equal(apply_vector(op, F).values[..., 0], apply(op, f).values)
 
 
+def _rand_vector(grid, d=3, q=2.0, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (d,)
+    return VectorGridFunction(grid, d, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _components(F):
+    return [GridFunction(F.grid, F.values[..., i]) for i in range(F.d)]
+
+
+def test_apply_on_vector_field_matches_componentwise_apply():
+    g = make_grid(2, 16, 8.0)
+    op = MultiplierOperator(make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2), g)
+    F = _rand_vector(g, q=np.inf, seed=13)
+    out = apply(op, F)
+    assert isinstance(out, VectorGridFunction) and (out.d, out.q) == (F.d, F.q)
+    assert np.array_equal(out.values, apply_vector(op, F).values)
+    stacked = np.stack([apply(op, c).values for c in _components(F)], axis=-1)
+    assert np.array_equal(out.values, stacked)
+
+
+def test_conjugated_apply_exact_vector_matches_components():
+    g = make_grid(2, 16, 8.0)
+    op = MultiplierOperator(make_named_symbol("riesz", {"j": 1}, 2), g)
+    F = _rand_vector(g, seed=14)
+    for R in c4_rotations():
+        out = conjugated_apply(op, R, F)
+        assert isinstance(out, VectorGridFunction)
+        stacked = np.stack([conjugated_apply(op, R, c).values for c in _components(F)], axis=-1)
+        assert np.array_equal(out.values, stacked)
+
+
+def test_average_conjugated_interp_vector_matches_components():
+    g = make_grid(2, 32, 8.0)
+    op = MultiplierOperator(make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2), g)
+    F = _rand_vector(g, seed=15)
+    rq = so_quadrature(2, 16)
+    out = average_conjugated(op, rq, F, mode="interp")
+    assert isinstance(out, VectorGridFunction)
+    stacked = np.stack(
+        [average_conjugated(op, rq, c, mode="interp").values for c in _components(F)], axis=-1
+    )
+    assert np.array_equal(out.values, stacked)
+
+
 def test_rotate_function_exact_mode():
     g = make_grid(2, 16, 8.0)
     f = _rand_f(g, 5)

@@ -152,6 +152,29 @@ def test_radial_deviation_examples():
     assert radial_deviation(proj, g, sphere_quadrature(2, 4096)) <= 1e-12
 
 
+def test_radial_deviation_matches_per_radius_means():
+    # One batched evaluation over all lattice radii replaces a spherical_mean
+    # call per radius.  The batch reduces with a matrix-vector product and a
+    # single radius with a dot product, so the two may differ in the last bit.
+    for n, N, L in ((1, 64, 16.0), (2, 32, 8.0), (3, 16, 8.0)):
+        g = make_grid(n, N, L)
+        phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 2.0, 3.0][:n])}, n)
+        sq = sphere_quadrature(n, 64)
+        points = g.frequency_mesh()[~g.nyquist_mask()]
+        radii, inverse = np.unique(np.linalg.norm(points, axis=-1), return_inverse=True)
+        means = np.array([spherical_mean(phi, float(r), sq) for r in radii])
+        loop = float(np.max(np.abs(phi.evaluate(points) - means[inverse])))
+        assert abs(radial_deviation(phi, g, sq) - loop) <= 4 * np.finfo(float).eps
+
+
+def test_sphere_means_reject_negative_radius():
+    phi = make_named_symbol("heat", {"t": 1.0}, 2)
+    with pytest.raises(ValueError):
+        spherical_mean(phi, -1.0, SQ256)
+    with pytest.raises(ValueError):
+        project(phi, 2, np.array([0.0, -1.0]), SQ256)
+
+
 def test_project_output_rotation_invariant():
     from radialmult import haar_rotation
 

@@ -122,6 +122,21 @@ def test_sphere_second_moments():
         assert abs(val - 1.0 / n) <= 1e-14
 
 
+def test_sphere_s2_node_layout():
+    # node i*m + j sits at Gauss-Legendre polar node i and uniform azimuth j
+    m = 7
+    sq = sphere_quadrature(3, m)
+    ct, wt = np.polynomial.legendre.leggauss(m)
+    st = np.sqrt(1.0 - ct**2)
+    phis = 2.0 * np.pi * np.arange(m) / m
+    for i in range(m):
+        for j in range(m):
+            node = (st[i] * np.cos(phis[j]), st[i] * np.sin(phis[j]), ct[i])
+            assert np.array_equal(sq.nodes[i * m + j], node)
+    w = np.array([wt[i] / 2.0 / m for i in range(m) for _ in range(m)])
+    assert np.array_equal(sq.weights, w / w.sum())
+
+
 def test_sphere_s0():
     sq = sphere_quadrature(1, 2)
     assert sorted(sq.nodes.ravel()) == [-1.0, 1.0]
