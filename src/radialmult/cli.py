@@ -1,9 +1,10 @@
 """Command-line front end: experiments and the verification suite.
 
 Subcommands: radialize, norms, positivity, converge, verify, demo.
-Every output file embeds the full run configuration and package
-version, and runs are deterministic for a fixed seed, so re-running a
-config reproduces outputs byte for byte.
+Each subcommand accepts only the options it reads; every output file
+embeds those options and the package version, and runs are
+deterministic for a fixed seed, so re-running a config reproduces
+outputs byte for byte.
 
 Exit codes: 0 success, 1 hard-assertion failure, 2 config error.
 """
@@ -14,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,33 +31,10 @@ from .radialize import (
     spherical_mean,
 )
 from .rotation import sphere_quadrature
-from .symbols import SymbolSpecError, parse_symbol_spec
+from .symbols import parse_symbol_spec
 from .verification import VerifyConfig, reference_catalog, run_all
 
 __all__ = ["main"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    symbol: str | None
-    n: int
-    N: int
-    L: float
-    order: int | None
-    p_list: tuple[float, ...]
-    seed: int
-    tol: dict
-    out: str
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        # the output location does not affect any computed value, so it is
-        # excluded to keep reruns byte-identical across directories
-        del d["out"]
-        d["p_list"] = ["inf" if np.isinf(p) else p for p in self.p_list]
-        d["version"] = __version__
-        return d
 
 
 def _fmt(x: float) -> str:
@@ -76,8 +53,17 @@ def _jsonable(obj):
     return obj
 
 
-def _write_csv(path: str, config: RunConfig, columns: list[str], rows: list[list]):
-    lines = [f"# radialmult {__version__}", f"# config {json.dumps(config.to_dict(), sort_keys=True)}"]
+def _config(cfg: argparse.Namespace) -> dict:
+    """The parsed options and the package version, as embedded in every output file."""
+    # the output location does not affect any computed value, so it is
+    # excluded to keep reruns byte-identical across directories
+    config = {key: value for key, value in vars(cfg).items() if key != "out"}
+    config["version"] = __version__
+    return _jsonable(config)
+
+
+def _write_csv(path: str, cfg: argparse.Namespace, columns: list[str], rows: list[list]):
+    lines = [f"# radialmult {__version__}", f"# config {json.dumps(_config(cfg), sort_keys=True)}"]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
@@ -85,12 +71,21 @@ def _write_csv(path: str, config: RunConfig, columns: list[str], rows: list[list
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path: str, config: RunConfig, payload: dict):
-    doc = {"version": __version__, "config": config.to_dict()}
+def _write_json(path: str, cfg: argparse.Namespace, payload: dict):
+    doc = {"version": __version__, "config": _config(cfg)}
     doc.update(_jsonable(payload))
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_profile(path: str, cfg: argparse.Namespace, proj) -> None:
+    """CSV of a projected symbol's radial profile: radius, real and imaginary part."""
+    rows = [
+        [float(r), float(v.real), float(v.imag)]
+        for r, v in zip(proj.profile.radii, proj.profile.values)
+    ]
+    _write_csv(path, cfg, ["r", "re", "im"], rows)
 
 
 def _default_order(phi) -> int:
@@ -98,21 +93,17 @@ def _default_order(phi) -> int:
     return INDICATOR_ORDER if phi.kink else SMOOTH_ORDER
 
 
-def _symbol_and_order(cfg: RunConfig):
+def _symbol_and_order(cfg: argparse.Namespace):
     phi = parse_symbol_spec(cfg.symbol, cfg.n)
     return phi, cfg.order if cfg.order is not None else _default_order(phi)
 
 
-def cmd_radialize(cfg: RunConfig) -> int:
+def cmd_radialize(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi, order = _symbol_and_order(cfg)
     sq = sphere_quadrature(cfg.n, order)
     proj = project(phi, cfg.n, default_radii(grid), sq)
-    rows = [
-        [float(r), float(v.real), float(v.imag)]
-        for r, v in zip(proj.profile.radii, proj.profile.values)
-    ]
-    _write_csv(os.path.join(cfg.out, "profile.csv"), cfg, ["r", "re", "im"], rows)
+    _write_profile(os.path.join(cfg.out, "profile.csv"), cfg, proj)
     dev_sq = sphere_quadrature(cfg.n, min(order, 64))
     stats = {
         "deviation_original": radial_deviation(phi, grid, sq),
@@ -122,7 +113,7 @@ def cmd_radialize(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_norms(cfg: RunConfig) -> int:
+def cmd_norms(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi, order = _symbol_and_order(cfg)
     report = contraction_report(
@@ -153,7 +144,7 @@ def cmd_norms(cfg: RunConfig) -> int:
     return 0 if all(report.flags.values()) else 1
 
 
-def cmd_positivity(cfg: RunConfig) -> int:
+def cmd_positivity(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi, order = _symbol_and_order(cfg)
     tol = float(cfg.tol.get("positivity", 1e-10))
@@ -176,18 +167,18 @@ def cmd_positivity(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_converge(cfg: RunConfig, radius: float, orders: list[int]) -> int:
-    phi, _ = _symbol_and_order(cfg)
-    oracle = spherical_mean(phi, radius, sphere_quadrature(cfg.n, INDICATOR_ORDER))
+def cmd_converge(cfg: argparse.Namespace) -> int:
+    phi = parse_symbol_spec(cfg.symbol, cfg.n)
+    oracle = spherical_mean(phi, cfg.r, sphere_quadrature(cfg.n, INDICATOR_ORDER))
     rows = []
-    for m in orders:
-        approx = spherical_mean(phi, radius, sphere_quadrature(cfg.n, m))
+    for m in cfg.orders:
+        approx = spherical_mean(phi, cfg.r, sphere_quadrature(cfg.n, m))
         rows.append([m, float(abs(approx - oracle))])
     _write_csv(os.path.join(cfg.out, "converge.csv"), cfg, ["order", "error"], rows)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     vcfg = VerifyConfig(
         n=cfg.n,
         N=cfg.N,
@@ -214,18 +205,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_demo(cfg: RunConfig) -> int:
+def cmd_demo(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     radii = default_radii(grid)
     summary = []
     for label, phi in reference_catalog(cfg.n):
         sq = sphere_quadrature(cfg.n, _default_order(phi))
         proj = project(phi, cfg.n, radii, sq)
-        rows = [
-            [float(r), float(v.real), float(v.imag)]
-            for r, v in zip(proj.profile.radii, proj.profile.values)
-        ]
-        _write_csv(os.path.join(cfg.out, f"profile_{label}.csv"), cfg, ["r", "re", "im"], rows)
+        _write_profile(os.path.join(cfg.out, f"profile_{label}.csv"), cfg, proj)
         rep_o = positivity_report(MultiplierOperator(phi, grid))
         rep_p = positivity_report(MultiplierOperator(proj, grid))
         summary.append(
@@ -241,91 +228,89 @@ def cmd_demo(cfg: RunConfig) -> int:
     return 0
 
 
+#: Every flag's `add_argument` keywords; `dest` names the key in the embedded config.
+OPTIONS = {
+    "symbol": dict(help="symbol spec, e.g. heat:t=1.0 or boxind:a=1.0"),
+    "n": dict(type=int, default=2),
+    "grid": dict(type=int, default=64, dest="N", help="points per axis N"),
+    "extent": dict(type=float, default=16.0, dest="L", help="box extent L"),
+    "order": dict(type=int, default=None, help="sphere quadrature order"),
+    "p": dict(default="2", dest="p_list", help="comma list of exponents, e.g. 1.5,2,4,inf"),
+    "seed": dict(type=int, default=7),
+    "tol": dict(action="append", default=[], help="override, name=value; name: positivity"),
+    "r": dict(type=float, default=2.0, help="radius of the sphere average"),
+    "orders": dict(default="8,16,32,64", help="comma list of orders"),
+    "out": dict(default="out", help="output directory"),
+}
+
+#: Each subcommand's handler and the flags it reads; every subcommand also takes --out.
+SUBCOMMANDS = {
+    "radialize": (cmd_radialize, ("symbol", "n", "grid", "extent", "order")),
+    "norms": (cmd_norms, ("symbol", "n", "grid", "extent", "order", "p", "seed")),
+    "positivity": (cmd_positivity, ("symbol", "n", "grid", "extent", "order", "tol")),
+    "converge": (cmd_converge, ("symbol", "n", "r", "orders")),
+    "verify": (cmd_verify, ("n", "grid", "extent", "order", "seed")),
+    "demo": (cmd_demo, ("n", "grid", "extent")),
+}
+
+
 def _parse_tol(items: list[str]) -> dict:
     out = {}
     for item in items:
         if "=" not in item:
-            raise argparse.ArgumentTypeError(f"expected name=value, got {item!r}")
+            raise ValueError(f"expected name=value, got {item!r}")
         name, value = item.split("=", 1)
+        if name != "positivity":
+            raise ValueError(f"unknown tolerance {name!r}; the only one is positivity")
         out[name] = float(value)
     return out
-
-
-def _parse_p_list(text: str) -> tuple[float, ...]:
-    return tuple(float("inf") if tok.strip() in ("inf", "oo") else float(tok) for tok in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radialmult", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("radialize", "norms", "positivity", "converge", "verify", "demo"):
+    for name, (_, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--symbol", help="symbol spec, e.g. heat:t=1.0 or boxind:a=1.0")
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--grid", type=int, default=64, help="points per axis N")
-        p.add_argument("--extent", type=float, default=16.0, help="box extent L")
-        p.add_argument("--order", type=int, default=None, help="sphere quadrature order")
-        p.add_argument("--p", default="2", help="comma list of exponents, e.g. 1.5,2,4,inf")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--tol", action="append", default=[], help="override, name=value")
-        p.add_argument("--out", default="out", help="output directory")
-        if name == "converge":
-            p.add_argument("--r", type=float, default=2.0, help="radius of the sphere average")
-            p.add_argument("--orders", default="8,16,32,64", help="comma list of orders")
+        for flag in (*flags, "out"):
+            p.add_argument(f"--{flag}", **OPTIONS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    cfg = build_parser().parse_args(argv)
+    opts = vars(cfg)  # list-valued options are parsed in place; bad values exit 2
     try:
-        cfg = RunConfig(
-            command=args.command,
-            symbol=args.symbol,
-            n=args.n,
-            N=args.grid,
-            L=args.extent,
-            order=args.order,
-            p_list=_parse_p_list(args.p),
-            seed=args.seed,
-            tol=_parse_tol(args.tol),
-            out=args.out,
-        )
-        make_grid(cfg.n, cfg.N, cfg.L)  # fail fast on bad grid parameters
-        if cfg.command in ("radialize", "norms", "positivity", "converge") and not cfg.symbol:
-            raise ValueError(f"{cfg.command} requires --symbol")
-        if cfg.command in ("radialize", "norms", "positivity", "converge"):
+        if "N" in opts:
+            make_grid(cfg.n, cfg.N, cfg.L)  # fail fast on bad grid parameters
+        if "symbol" in opts:
+            if not cfg.symbol:
+                raise ValueError(f"{cfg.command} requires --symbol")
             parse_symbol_spec(cfg.symbol, cfg.n)
-        orders = [int(t) for t in args.orders.split(",")] if cfg.command == "converge" else []
-        for m in orders + ([] if cfg.order is None else [cfg.order]):
-            if m < 2:
+        if "orders" in opts:
+            cfg.orders = [int(t) for t in cfg.orders.split(",")]
+        for m in [*opts.get("orders", []), opts.get("order")]:
+            if m is not None and m < 2:
                 raise ValueError(f"sphere quadrature order must be >= 2, got {m}")
-        if cfg.command == "converge" and args.r < 0:
-            raise ValueError(f"--r must be nonnegative, got {args.r}")
-        for p in cfg.p_list:
-            if not p >= 1:
-                raise ValueError(f"exponents must satisfy p >= 1, got {p}")
-        for name, value in cfg.tol.items():
-            if not value >= 0:
-                raise ValueError(f"tolerance {name} must be nonnegative, got {value}")
-        if cfg.seed < 0:
+        if not 0.0 <= opts.get("r", 0.0) < np.inf:
+            raise ValueError(f"--r must be finite and nonnegative, got {cfg.r}")
+        if "p_list" in opts:
+            cfg.p_list = tuple(float("inf") if t.strip() in ("inf", "oo") else float(t)
+                               for t in cfg.p_list.split(","))
+            for p in cfg.p_list:
+                if not p >= 1:
+                    raise ValueError(f"exponents must satisfy p >= 1, got {p}")
+        if "tol" in opts:
+            cfg.tol = _parse_tol(cfg.tol)
+            for name, value in cfg.tol.items():
+                if not value >= 0:
+                    raise ValueError(f"tolerance {name} must be nonnegative, got {value}")
+        if opts.get("seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {cfg.seed}")
-    except (ValueError, SymbolSpecError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(cfg.out, exist_ok=True)
-    if cfg.command == "radialize":
-        return cmd_radialize(cfg)
-    if cfg.command == "norms":
-        return cmd_norms(cfg)
-    if cfg.command == "positivity":
-        return cmd_positivity(cfg)
-    if cfg.command == "converge":
-        return cmd_converge(cfg, args.r, orders)
-    if cfg.command == "verify":
-        return cmd_verify(cfg)
-    if cfg.command == "demo":
-        return cmd_demo(cfg)
-    raise AssertionError(f"unhandled command {cfg.command}")
+    return SUBCOMMANDS[cfg.command][0](cfg)
 
 
 if __name__ == "__main__":

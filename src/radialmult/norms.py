@@ -82,7 +82,6 @@ def norm_lower_power(
     p: float,
     trials: int = DEFAULT_TRIALS,
     iters: int = DEFAULT_ITERS,
-    rng: np.random.Generator | None = None,
     seed: int | None = None,
 ) -> NormEstimate:
     """Lower bound on the L^p -> L^p norm by nonlinear power iteration.
@@ -99,8 +98,7 @@ def norm_lower_power(
                          "use the kernel value at the endpoints")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     grid = op.grid
     vol = grid.dx**grid.n
     sym = op.sampled

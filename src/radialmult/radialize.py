@@ -112,12 +112,10 @@ def project_mc(phi: Symbol, grid: FrequencyGrid, rq: RotationQuadrature) -> Samp
 def radial_deviation(phi: Symbol, grid: FrequencyGrid, sq: SphereQuadrature) -> float:
     """Max over the lattice (Nyquist rows excluded) of |phi(xi) - mean(phi; |xi|)|."""
     _require_pointwise(phi)
-    mesh = grid.frequency_mesh()
     keep = ~grid.nyquist_mask()
-    points = mesh[keep]
-    phi_vals = phi.evaluate(points)
-    norms = np.linalg.norm(points, axis=-1)
-    # group bit-identical radii; symmetric lattice points repeat heavily
-    radii, inverse = np.unique(norms, return_inverse=True)
-    means = _sphere_means(phi, radii, sq)
+    phi_vals = phi.evaluate(grid.frequency_mesh()[keep])
+    # one sphere per lattice radius dxi * sqrt(j1^2 + ... + jn^2), as in default_radii
+    j2 = grid.index_axis() ** 2
+    r2, inverse = np.unique(sum(np.ix_(*([j2] * grid.n)))[keep], return_inverse=True)
+    means = _sphere_means(phi, grid.dxi * np.sqrt(r2.astype(float)), sq)
     return float(np.max(np.abs(phi_vals - means[inverse])))

@@ -65,8 +65,6 @@ class RotationQuadrature:
 
     rotations: tuple
     weights: np.ndarray
-    kind: str  # deterministic | monte-carlo | subgroup
-    order: int
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -138,11 +136,11 @@ def so_quadrature(n: int, m: int) -> RotationQuadrature:
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if n == 1:
-        return RotationQuadrature((Rotation(1, np.eye(1)),), np.array([1.0]), "deterministic", m)
+        return RotationQuadrature((Rotation(1, np.eye(1)),), np.array([1.0]))
     if n == 2:
         angles = 2.0 * np.pi * np.arange(m) / m
         rots = tuple(Rotation(2, _rotation_2d(t)) for t in angles)
-        return RotationQuadrature(rots, np.full(m, 1.0 / m), "deterministic", m)
+        return RotationQuadrature(rots, np.full(m, 1.0 / m))
     # n == 3: Haar measure factors as dalpha/2pi * d(cos beta)/2 * dgamma/2pi
     nodes_cb, weights_cb = np.polynomial.legendre.leggauss(m)
     angles = 2.0 * np.pi * np.arange(m) / m
@@ -156,7 +154,7 @@ def so_quadrature(n: int, m: int) -> RotationQuadrature:
                 weights.append(wb / 2.0 / m**2)
     weights = np.asarray(weights)
     weights = weights / weights.sum()
-    return RotationQuadrature(tuple(rots), weights, "deterministic", m)
+    return RotationQuadrature(tuple(rots), weights)
 
 
 def sphere_quadrature(n: int, m: int) -> SphereQuadrature:
@@ -188,7 +186,7 @@ def sphere_quadrature(n: int, m: int) -> SphereQuadrature:
 def subgroup_quadrature(rotations: list[Rotation]) -> RotationQuadrature:
     """Uniform weights over a finite set of rotations (exact for subgroup averages)."""
     k = len(rotations)
-    return RotationQuadrature(tuple(rotations), np.full(k, 1.0 / k), "subgroup", k)
+    return RotationQuadrature(tuple(rotations), np.full(k, 1.0 / k))
 
 
 def is_lattice_preserving(R: Rotation) -> bool:

@@ -218,10 +218,12 @@ def check_positivity_preservation(ctx: _Context) -> CheckResult:
     ok = True
     rng = np.random.default_rng(ctx.cfg.seed)
     iso = make_named_symbol("gaussian_aniso", {"A": np.eye(ctx.cfg.n)}, ctx.cfg.n)
-    cases = [("heat", dict(ctx.catalog)["heat"]), ("gaussiso", iso)]
-    for label, phi in cases:
+    cases = [
+        ("heat", dict(ctx.catalog)["heat"], ctx.projection("heat")),
+        ("gaussiso", iso, project(iso, ctx.cfg.n, ctx.radii, ctx.sq_smooth)),
+    ]
+    for label, phi, proj in cases:
         op = MultiplierOperator(phi, ctx.grid)
-        proj = project(phi, ctx.cfg.n, ctx.radii, ctx.sq_smooth)
         proj_op = MultiplierOperator(proj, ctx.grid)
         rep_orig = positivity_report(op, tol=1e-10)
         rep_proj = positivity_report(proj_op, tol=1e-10)

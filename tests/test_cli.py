@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from radialmult.cli import main
+from radialmult.cli import OPTIONS, SUBCOMMANDS, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _read_csv(path):
@@ -91,7 +96,7 @@ def test_radialize_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     args = ["radialize", "--symbol", "poisson:t=1", "--n", "2", "--grid", "16",
-            "--extent", "8", "--order", "64", "--seed", "7"]
+            "--extent", "8", "--order", "64"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "profile.csv").read_bytes() == (b / "profile.csv").read_bytes()
@@ -108,11 +113,14 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["converge", *heat, "--orders", "1,8"]) == 2
     assert main(["radialize", *heat, "--order", "1"]) == 2
     assert main(["converge", *heat, "--r", "-1"]) == 2
+    assert main(["converge", *heat, "--r", "nan"]) == 2
+    assert main(["converge", *heat, "--r", "inf"]) == 2
     assert main(["norms", *heat, "--p", "0.5"]) == 2
     assert main(["norms", *heat, "--p", "nan"]) == 2
     assert main(["positivity", *heat, "--tol", "positivity=-1"]) == 2
     assert main(["norms", *heat, "--seed", "-1"]) == 2
     assert main(["radialize", *heat, "--extent", "inf"]) == 2
+    assert main(["positivity", *heat, "--tol", "positivty=1e-8"]) == 2
 
 
 def test_csv_embeds_config(tmp_path):
@@ -120,10 +128,66 @@ def test_csv_embeds_config(tmp_path):
     main(["converge", "--symbol", "heat:t=1", "--orders", "8,16", "--out", out])
     text = (tmp_path / "converge.csv").read_text()
     cfg = json.loads(text.splitlines()[1].removeprefix("# config "))
-    assert cfg["command"] == "converge" and cfg["seed"] == 7
+    assert cfg["command"] == "converge"
+    assert cfg["r"] == 2.0 and cfg["orders"] == [8, 16] and "seed" not in cfg
     assert "version" in cfg
     assert "rot_order" not in cfg and "threads" not in cfg
     for removed in (["--threads", "2"], ["--rot-order", "8"]):
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--symbol", "heat:t=1", *removed, "--out", out])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radialize", "--symbol", "heat:t=1", "--seed", "1"],
+        ["norms", "--symbol", "heat:t=1", "--tol", "positivity=1"],
+        ["positivity", "--symbol", "heat:t=1", "--p", "4"],
+        ["converge", "--symbol", "heat:t=1", "--grid", "32"],
+        ["verify", "--symbol", "heat:t=1"],
+        ["demo", "--order", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unread_options_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_keys_are_the_options_read(tmp_path):
+    """Each file's embedded config holds exactly the options its subcommand reads."""
+    flags = {
+        "radialize": ["--symbol", "heat:t=1", "--grid", "16", "--extent", "8", "--order", "16"],
+        "demo": ["--grid", "16", "--extent", "8"],
+    }
+    for command, argv in flags.items():
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 0
+        for path in out.iterdir():
+            text = path.read_text()
+            if path.suffix == ".csv":
+                cfg = json.loads(text.splitlines()[1].removeprefix("# config "))
+            else:
+                cfg = json.loads(text)["config"]
+            read = {OPTIONS[f].get("dest", f) for f in SUBCOMMANDS[command][1]}
+            assert set(cfg) == read | {"command", "version"}
+
+
+def test_exit_codes_through_module_entry_point(tmp_path):
+    def run(*argv):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, "-m", "radialmult.cli", *argv], env=env, capture_output=True, text=True
+        )
+
+    bad_flag = run("demo", "--order", "8", "--out", str(tmp_path / "demo"))
+    assert bad_flag.returncode == 2 and "unrecognized arguments" in bad_flag.stderr
+    bad_tol = run("positivity", "--symbol", "heat:t=1", "--tol", "x=1", "--out", str(tmp_path / "p"))
+    assert bad_tol.returncode == 2 and "config error:" in bad_tol.stderr
+    ok = run("converge", "--symbol", "heat:t=1", "--orders", "8,16", "--out", str(tmp_path / "c"))
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "c" / "converge.csv").exists()

@@ -1,5 +1,7 @@
 """Spherical means and the radialization projection, both computation paths."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,28 @@ def test_radial_deviation_matches_per_radius_means():
         means = np.array([spherical_mean(phi, float(r), sq) for r in radii])
         loop = float(np.max(np.abs(phi.evaluate(points) - means[inverse])))
         assert abs(radial_deviation(phi, g, sq) - loop) <= 4 * np.finfo(float).eps
+
+
+def test_radial_deviation_one_sphere_per_lattice_radius(monkeypatch):
+    # |(3, 4)| = |(5, 0)|: index vectors with the same j1^2 + ... + jn^2 share one
+    # sphere even where their float norms differ in the last bit
+    import radialmult.radialize as radialize
+
+    counts = []
+    original = radialize._sphere_means
+
+    def spy(phi, radii, sq):
+        counts.append(len(radii))
+        return original(phi, radii, sq)
+
+    monkeypatch.setattr(radialize, "_sphere_means", spy)
+    for n, N in ((1, 64), (2, 64), (3, 16)):
+        g = make_grid(n, N, 16.0)
+        phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 2.0, 3.0][:n])}, n)
+        radial_deviation(phi, g, sphere_quadrature(n, 8))
+        j = range(-(N // 2) + 1, N // 2)  # Nyquist rows excluded
+        expected = len({sum(k * k for k in idx) for idx in itertools.product(j, repeat=n)})
+        assert counts.pop() == expected  # 431 at n = 2, N = 64
 
 
 def test_sphere_means_reject_negative_radius():
