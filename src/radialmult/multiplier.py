@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .grid import FrequencyGrid, GridFunction, VectorGridFunction
-from .rotation import Rotation, RotationQuadrature, _permute_lattice, is_lattice_preserving
+from .rotation import Rotation, RotationQuadrature, _permute_lattice
 from .symbols import Symbol, sample_symbol
 
 #: A scalar field, or an X-valued one carrying a trailing fiber axis.
@@ -55,16 +55,18 @@ class MultiplierOperator:
         object.__setattr__(self, "sampled", sample_symbol(self.phi, self.grid).values)
 
 
-def _multiply(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """F^-1 [symbol . F values] over the grid axes; trailing fiber axes ride along.
+def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndarray:
+    """F^-1 [symbol . F values] over the grid axes.
 
-    The forward dx^n and inverse N^n/L^n scalings cancel, so the raw
+    The grid axes follow `stack` leading axes (independent fields
+    transformed in one call); trailing fiber axes ride along.  The
+    forward dx^n and inverse N^n/L^n scalings cancel, so the raw
     fft/ifft pair is used directly.
     """
-    fiber = values.ndim - symbol.ndim
-    # numpy's explicit-axes path costs ~10 us per transform; the power
-    # iteration transforms scalar fields thousands of times
-    axes = tuple(range(symbol.ndim)) if fiber else None
+    fiber = values.ndim - stack - symbol.ndim
+    # numpy's explicit-axes path costs ~10 us per transform, so a lone
+    # scalar field takes the all-axes path
+    axes = tuple(range(stack, stack + symbol.ndim)) if stack or fiber else None
     symbol = symbol.reshape(symbol.shape + (1,) * fiber)
     return np.fft.ifftn(np.fft.fftn(values, axes=axes) * symbol, axes=axes)
 
@@ -94,9 +96,7 @@ def _rotate_values(values: np.ndarray, grid: FrequencyGrid, R: Rotation, mode: s
     if R.n != grid.n:
         raise ValueError("rotation dimension does not match grid")
     if mode == "exact":
-        if not is_lattice_preserving(R):
-            raise ValueError("exact-mode rotation requires a lattice-preserving R")
-        return _permute_lattice(values, grid, R)
+        return _permute_lattice(values, grid, R.M)
     if mode == "interp":
         return _kernels.rotate_interp(values, R.M, grid.index_axis())
     raise ValueError(f"mode must be 'exact' or 'interp', got {mode!r}")

@@ -5,7 +5,10 @@ Fourier basis, so the norm is the lattice sup of the symbol) and at the
 endpoints p in {1, inf} (for periodic convolution both norms equal the
 kernel's weighted l^1 mass).  In between, a nonlinear power iteration
 supplies lower bounds and the kernel mass is an upper bound for all p
-at once (Young's inequality).
+at once (Young's inequality).  Its random restarts run as one stack,
+each step transforming every live trial in one FFT pair; per-trial
+norms are rooted on numpy scalars so that every trial reproduces, bit
+for bit, the run it would make alone.
 """
 
 from __future__ import annotations
@@ -72,9 +75,22 @@ def norm_upper_kernel(op: MultiplierOperator, p: float | None = None) -> NormEst
     return NormEstimate(value=value, kind=kind, p=p, method="kernel-l1")
 
 
-def _phase(y: np.ndarray) -> np.ndarray:
-    mags = np.abs(y)
+def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """y / |y|, and 0 where y vanishes; `mags` is |y|."""
     return np.where(mags > 0, y / np.where(mags > 0, mags, 1.0), 0.0)
+
+
+def _row_norms(mags: np.ndarray, p: float, vol: float) -> np.ndarray:
+    """Discrete L^p norm of each stacked trial, given its pointwise magnitudes.
+
+    Each trial's |x|^p is summed as one contiguous row, in the order a
+    flat sum of that trial alone would take.  The root is taken on numpy
+    scalars, one trial at a time: numpy's array pow loop can round
+    differently from scalar pow, and a one-ulp shift may move a stopping
+    step.
+    """
+    sums = (mags**p).reshape(len(mags), -1).sum(axis=1)
+    return np.array([(s * vol) ** (1.0 / p) for s in sums])
 
 
 def norm_lower_power(
@@ -89,53 +105,82 @@ def norm_lower_power(
     One step: y = A x with ||x||_p = 1; gradient direction s = |y|^(p-1)
     phase(y); pull back z = A* s (conjugate symbol, volume weights
     cancel on the uniform grid); next iterate x = |z|^(p'-1) phase(z)
-    renormalized.  The estimate ||y||_p is nondecreasing; iteration
-    stops at relative gain below POWER_RELATIVE_GAIN.  Best value over
-    random restarts is returned, deterministic for a fixed seed.
+    renormalized.  The estimate ||y||_p is nondecreasing; a trial stops
+    at relative gain below POWER_RELATIVE_GAIN.  Best value over random
+    restarts is returned, deterministic for a fixed seed.
+
+    The restarts run together: their start vectors are drawn trial by
+    trial, stacked on a leading axis and transformed in one FFT pair per
+    operator application; a trial leaves the stack when it stops.  Each
+    trial's values, history and step count equal those of running it
+    alone, because its norm is summed as one contiguous row and rooted
+    as a numpy scalar (numpy's array pow can differ from scalar pow by
+    an ulp, enough to move a stopping step).
     """
     if not (1.0 < p < float("inf")):
         raise ValueError("power iteration needs p strictly between 1 and inf; "
                          "use the kernel value at the endpoints")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if iters < 1:
+        raise ValueError("need at least one iteration")
     rng = np.random.default_rng(seed)
     grid = op.grid
     vol = grid.dx**grid.n
     sym = op.sampled
     sym_conj = np.conj(sym)
     q = p / (p - 1.0)
+    per_trial = (-1,) + (1,) * grid.n  # broadcasts one number per trial over its grid
 
-    def norm_p(x):
-        return (np.sum(np.abs(x) ** p) * vol) ** (1.0 / p)
+    x = np.stack([
+        rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for _ in range(trials)
+    ])
+    rows = np.arange(trials)  # trial behind each stack row
+    histories: list[list] = [[] for _ in range(trials)]
+    steps = [iters] * trials
+    est_prev = np.zeros(trials)
+
+    def retire(stop: np.ndarray, step: int, *stacks: np.ndarray) -> list[np.ndarray]:
+        """Record `step` for the stopping rows and drop them from every stack."""
+        nonlocal rows
+        for t in rows[stop]:
+            steps[t] = step
+        rows = rows[~stop]
+        return [a[~stop] for a in stacks] if stop.any() else list(stacks)
+
+    for step in range(1, iters + 1):
+        nx = _row_norms(np.abs(x), p, vol)
+        x, nx = retire(nx == 0.0, step, x, nx)
+        if not len(rows):
+            break
+        x = x / nx.reshape(per_trial)
+        y = _multiply(sym, x, stack=1)
+        mags = np.abs(y)
+        est = _row_norms(mags, p, vol)
+        for t, e in zip(rows, est):
+            histories[t].append(e)
+        y, mags, est = retire(est == 0.0, step, y, mags, est)
+        if not len(rows):
+            break
+        s = mags ** (p - 1.0) * _phase(y, mags)
+        z = _multiply(sym_conj, s, stack=1)
+        zmags = np.abs(z)
+        x = zmags ** (q - 1.0) * _phase(z, zmags)
+        stalled = est - est_prev[rows] <= POWER_RELATIVE_GAIN * est
+        est_prev[rows] = est
+        (x,) = retire(stalled, step, x)
+        if not len(rows):
+            break
 
     best = 0.0
     best_iters = 0
     best_history: tuple = ()
-    for _ in range(trials):
-        x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        est_prev = 0.0
-        history = []
-        steps = 0
-        for steps in range(1, iters + 1):
-            nx = norm_p(x)
-            if nx == 0.0:
-                break
-            x = x / nx
-            y = _multiply(sym, x)
-            est = norm_p(y)
-            history.append(est)
-            if est == 0.0:
-                break
-            s = np.abs(y) ** (p - 1.0) * _phase(y)
-            z = _multiply(sym_conj, s)
-            x = np.abs(z) ** (q - 1.0) * _phase(z)
-            if est - est_prev <= POWER_RELATIVE_GAIN * est:
-                break
-            est_prev = est
+    for history, trial_steps in zip(histories, steps):
         est = history[-1] if history else 0.0
         if est > best:
             best = est
-            best_iters = steps
+            best_iters = trial_steps
             best_history = tuple(history)
     return NormEstimate(
         value=best,

@@ -246,17 +246,41 @@ def rotated_symbol(phi: Symbol, R: Rotation) -> Symbol:
     if isinstance(phi, RadialSymbol):
         return phi
     if isinstance(phi, SampledSymbol):
-        if not is_lattice_preserving(R):
-            raise ValueError("sampled symbols only support lattice-preserving rotations")
-        return SampledSymbol(phi.grid, _permute_lattice(phi.values, phi.grid, R))
+        return SampledSymbol(phi.grid, _permute_lattice(phi.values, phi.grid, R.M))
     return RotatedSymbol(base=phi, R=R)
 
 
-def _permute_lattice(values: np.ndarray, grid: FrequencyGrid, R: Rotation) -> np.ndarray:
-    """Re-index lattice values under a signed permutation, wrapping mod N."""
-    M = np.round(R.M).astype(int)
-    idx = np.meshgrid(*([grid.index_axis()] * grid.n), indexing="ij")
-    idx = np.stack(idx, axis=0)  # (n,) + grid.shape, signed indices
-    target = np.tensordot(M, idx, axes=([1], [0]))
-    storage = np.mod(target, grid.N)
-    return values[tuple(storage)]
+def _permute_lattice(values: np.ndarray, grid: FrequencyGrid, M: np.ndarray) -> np.ndarray:
+    """out[k] = values[M k mod N] for a signed permutation matrix M.
+
+    k runs over the signed lattice indices of the leading grid axes;
+    trailing fiber axes are carried.  Row i of M holds its one nonzero
+    s_i in column c_i, so out[k] = values[(s_i k_(c_i) mod N)_i]: the
+    map only reflects and reorders whole axes.  Each axis with s_i = -1
+    is reflected about index 0 (a flip, then a roll by one), then one
+    transpose moves axis i to place c_i.  The result is a fresh
+    C-contiguous array.  Signed permutations of either determinant are
+    accepted; any other matrix raises ValueError.
+    """
+    n = grid.n
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise ValueError(f"permutation matrix must be {n}x{n}, got {M.shape}")
+    if values.shape[:n] != grid.shape:
+        raise ValueError(f"values must start with the grid axes {grid.shape}, got {values.shape}")
+    # a few Python-level checks on at most 9 entries cost less than numpy
+    # calls on a 3x3 array, and this runs once per exact rotation
+    cols = []
+    out = values
+    for axis, row in enumerate(M.tolist()):
+        nonzero = [(col, entry) for col, entry in enumerate(row) if abs(entry) > ORTHO_TOL]
+        if len(nonzero) != 1 or abs(abs(nonzero[0][1]) - 1.0) > ORTHO_TOL:
+            raise ValueError("exact lattice permutation needs a signed permutation matrix")
+        col, entry = nonzero[0]
+        cols.append(col)
+        if entry < 0:
+            out = np.roll(np.flip(out, axis), 1, axis)  # k -> -k mod N
+    if sorted(cols) != list(range(n)):
+        raise ValueError("exact lattice permutation needs a signed permutation matrix")
+    order = [cols.index(place) for place in range(n)] + list(range(n, values.ndim))
+    return np.transpose(out, order).copy()

@@ -1,5 +1,7 @@
 """Rotations, Haar sampling, and quadrature rules on SO(n) and the sphere."""
 
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from radialmult import (
     c4_rotations,
     eval_symbol,
     haar_rotation,
+    make_grid,
     make_named_symbol,
     octahedral_rotations,
     rotated_symbol,
     so_quadrature,
     sphere_quadrature,
 )
-from radialmult.rotation import is_lattice_preserving, subgroup_quadrature
+from radialmult.rotation import _permute_lattice, is_lattice_preserving, subgroup_quadrature
 
 
 def _angle(R):
@@ -196,3 +199,60 @@ def test_rotated_radial_symbol_unchanged():
     for _ in range(10):
         xi = rng.standard_normal(2) * 3.0
         assert abs(eval_symbol(rot, xi) - eval_symbol(phi, xi)) <= 1e-12
+
+
+def _gather_permutation(values, grid, M):
+    """out[k] = values[M k mod N] as a gather over the full signed index lattice."""
+    M = np.round(M).astype(int)
+    idx = np.stack(np.meshgrid(*([grid.index_axis()] * grid.n), indexing="ij"), axis=0)
+    target = np.tensordot(M, idx, axes=([1], [0]))
+    return values[tuple(np.mod(target, grid.N))]
+
+
+def _signed_permutations(n):
+    """All 2^n n! signed permutation matrices, of determinant +1 and -1."""
+    for perm in permutations(range(n)):
+        for signs in product((1.0, -1.0), repeat=n):
+            M = np.zeros((n, n))
+            M[np.arange(n), perm] = signs
+            yield M
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_permute_lattice_is_bitwise_the_index_gather(n, N):
+    g = make_grid(n, N, 4.0)
+    rng = np.random.default_rng(N + n)
+    mats = list(_signed_permutations(n))
+    assert len(mats) == 2**n * {1: 1, 2: 2, 3: 6}[n]
+    assert {round(np.linalg.det(M)) for M in mats} == {1, -1}
+    mats += [R.M for R in {2: c4_rotations(), 3: octahedral_rotations()}.get(n, [])]
+    for fiber in ((), (3,), (2, 2)):
+        values = rng.standard_normal(g.shape + fiber) + 1j * rng.standard_normal(g.shape + fiber)
+        for M in mats:
+            out = _permute_lattice(values, g, M)
+            assert out.flags.c_contiguous and not np.shares_memory(out, values)
+            assert np.array_equal(out, _gather_permutation(values, g, M))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[1.0, 1.0], [0.0, 1.0]],  # two entries in a row
+        [[1.0, 0.0], [1.0, 0.0]],  # a column hit twice
+        [[2.0, 0.0], [0.0, 1.0]],  # integer but not a unit
+        [[0.0, 0.0], [0.0, 1.0]],  # an empty row
+        [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]],  # off the lattice
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # wrong dimension
+    ],
+)
+def test_permute_lattice_rejects_non_signed_permutations(M):
+    g = make_grid(2, 8, 4.0)
+    with pytest.raises(ValueError):
+        _permute_lattice(np.zeros(g.shape), g, np.array(M))
+
+
+def test_permute_lattice_rejects_values_off_the_grid():
+    g = make_grid(2, 8, 4.0)
+    with pytest.raises(ValueError):
+        _permute_lattice(np.zeros((8, 4)), g, np.eye(2))
