@@ -9,7 +9,7 @@ the averaging map be certified numerically: idempotence, radiality,
 fixed points, norm contractivity and positivity preservation.
 """
 
-from .grid import FrequencyGrid, GridFunction, VectorGridFunction, make_grid, transform, lp_norm
+from .grid import FrequencyGrid, GridFunction, make_grid, transform, lp_norm
 from .symbols import (
     Symbol,
     NamedSymbol,

@@ -6,7 +6,8 @@ embeds those options and the package version, and runs are
 deterministic for a fixed seed, so re-running a config reproduces
 outputs byte for byte.
 
-Exit codes: 0 success, 1 hard-assertion failure, 2 config error.
+Exit codes: 0 success, 1 hard-assertion failure, 2 config error,
+3 internal error (an exception inside a subcommand).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -309,8 +311,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(cfg.out, exist_ok=True)
-    return SUBCOMMANDS[cfg.command][0](cfg)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+        return SUBCOMMANDS[cfg.command][0](cfg)
+    except Exception as exc:  # exit 1 is reserved for a failed certificate
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

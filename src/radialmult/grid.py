@@ -1,4 +1,4 @@
-"""Periodic grid, discrete Fourier transforms and L^p norms.
+"""Periodic grid, the field type, discrete Fourier transforms and L^p norms.
 
 The torus [-L/2, L/2)^n is sampled with N points per axis at spacing
 dx = L/N; the dual frequency lattice has spacing dxi = 2*pi/L and runs
@@ -18,18 +18,21 @@ multiplies the FFT sum by dx^n, the inverse divides the inverse sum by
 L^n.  With this convention symbols given by continuum formulas act
 unchanged, and a discrete delta of height 1/dx^n transforms to the
 constant 1.
+
+`GridFunction` is the one field type: scalar, or valued in X = l_q^d
+with the fiber on one trailing axis.  `lp_norm` takes the L^p norm of
+its pointwise magnitude (|f|, or the fiber's l_q norm).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "FrequencyGrid",
     "GridFunction",
-    "VectorGridFunction",
     "make_grid",
     "transform",
     "lp_norm",
@@ -112,52 +115,47 @@ def make_grid(n: int, N: int, L: float) -> FrequencyGrid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex scalar function sampled on the grid, tagged space or frequency."""
+    """Complex function sampled on the grid, tagged space or frequency.
+
+    A scalar field has `q=None` and values of grid shape.  A field valued
+    in X = l_q^d carries its fiber on one trailing axis, so d is
+    `values.shape[-1]`; operators act on it as M tensor Id_X.
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
     domain: str = "space"
+    q: float | None = None
 
     def __post_init__(self):
         if self.domain not in ("space", "frequency"):
             raise ValueError(f"domain must be 'space' or 'frequency', got {self.domain!r}")
+        if self.q is not None and not self.q >= 1:
+            raise ValueError(f"fiber exponent must satisfy q >= 1, got {self.q}")
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.shape:
+        fiber = () if self.q is None else values.shape[-1:]
+        if values.shape != self.grid.shape + fiber or fiber == (0,):
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {self.grid.shape}"
+                + ("" if self.q is None else " plus one nonempty fiber axis")
             )
         object.__setattr__(self, "values", values)
 
-
-@dataclass(frozen=True)
-class VectorGridFunction:
-    """Function on the grid valued in X = l_q^d (fiber dimension d, exponent q)."""
-
-    grid: FrequencyGrid
-    d: int
-    q: float
-    values: np.ndarray
-    domain: str = "space"
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"fiber dimension must be >= 1, got {self.d}")
-        if self.q < 1:
-            raise ValueError(f"fiber exponent must satisfy q >= 1, got {self.q}")
-        if self.domain not in ("space", "frequency"):
-            raise ValueError(f"domain must be 'space' or 'frequency', got {self.domain!r}")
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.shape + (self.d,):
-            raise ValueError(
-                f"values shape {values.shape} does not match {self.grid.shape + (self.d,)}"
-            )
-        object.__setattr__(self, "values", values)
-
-    def fiber_norms(self) -> np.ndarray:
-        """Pointwise l_q norm of the fiber, real array of grid shape."""
+    def magnitude(self) -> np.ndarray:
+        """Pointwise |f|, or the l_q norm of the fiber; real array of grid shape."""
+        if self.q is None:
+            return np.abs(self.values)
         if np.isinf(self.q):
             return np.max(np.abs(self.values), axis=-1)
         return np.sum(np.abs(self.values) ** self.q, axis=-1) ** (1.0 / self.q)
+
+
+def VectorGridFunction(grid: FrequencyGrid, d: int, q: float, values, domain: str = "space"):
+    """An l_q^d-valued `GridFunction`, after checking that its fiber axis has length d."""
+    f = GridFunction(grid, values, domain, q)
+    if f.values.shape[-1] != d:
+        raise ValueError(f"fiber dimension {f.values.shape[-1]} does not match d = {d}")
+    return f
 
 
 def transform(f: GridFunction, direction: str) -> GridFunction:
@@ -166,32 +164,31 @@ def transform(f: GridFunction, direction: str) -> GridFunction:
     forward:  fhat(xi_j) = dx^n * sum_k f(x_k) exp(-i <x_k, xi_j>)
     inverse:  f(x_k) = L^-n * sum_j fhat(xi_j) exp(+i <x_k, xi_j>)
 
-    The round trip is the identity to machine precision.
+    The transform runs over the grid axes; a fiber axis rides along.  The
+    round trip is the identity to machine precision.
     """
     grid = f.grid
+    axes = tuple(range(grid.n))
     if direction == "forward":
         if f.domain != "space":
             raise ValueError("forward transform expects a space-domain function")
-        out = np.fft.fftn(f.values) * grid.dx**grid.n
-        return GridFunction(grid, out, domain="frequency")
+        out = np.fft.fftn(f.values, axes=axes) * grid.dx**grid.n
+        return replace(f, values=out, domain="frequency")
     if direction == "inverse":
         if f.domain != "frequency":
             raise ValueError("inverse transform expects a frequency-domain function")
-        out = np.fft.ifftn(f.values) * (grid.N**grid.n / grid.L**grid.n)
-        return GridFunction(grid, out, domain="space")
+        out = np.fft.ifftn(f.values, axes=axes) * (grid.N**grid.n / grid.L**grid.n)
+        return replace(f, values=out, domain="space")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def lp_norm(f: GridFunction | VectorGridFunction, p: float) -> float:
-    """Discrete L^p norm with volume weights dx^n; fiber l_q norm first for vectors."""
-    if p < 1:
+def lp_norm(f: GridFunction, p: float) -> float:
+    """Discrete L^p norm of the pointwise magnitude (fiber l_q norm first), weights dx^n."""
+    if not p >= 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     if f.domain != "space":
         raise ValueError("lp_norm expects a space-domain function")
-    if isinstance(f, VectorGridFunction):
-        mags = f.fiber_norms()
-    else:
-        mags = np.abs(f.values)
+    mags = f.magnitude()
     if np.isinf(p):
         return float(np.max(mags))
     vol = f.grid.dx**f.grid.n

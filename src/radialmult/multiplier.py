@@ -1,14 +1,14 @@
 """Multiplier operators on grid functions and their rotation conjugates.
 
 M_phi acts as transform -> pointwise multiply by the sampled symbol ->
-inverse transform over the grid axes.  Scalar and X-valued fields share
-one code path: on a field valued in X = l_q^d the operator is
-M_phi tensor Id_X, so any trailing fiber axis is carried through every
-transform, multiply and rotation unchanged.  Rotation conjugation
-S_R^-1 M_phi S_R is available in two modes: "exact" for
-lattice-preserving rotations (pure index permutation, isometric) and
-"interp" for general rotations (periodic cubic-spline interpolation,
-tolerance-based assertions only).
+inverse transform over the grid axes.  Every operation takes one field
+type, `GridFunction`: on a field valued in X = l_q^d, whose fiber is a
+trailing axis, the operator is M_phi tensor Id_X, so the fiber axis is
+carried through every transform, multiply and rotation unchanged.
+Rotation conjugation S_R^-1 M_phi S_R is available in two modes:
+"exact" for lattice-preserving rotations (pure index permutation,
+isometric) and "interp" for general rotations (periodic cubic-spline
+interpolation, tolerance-based assertions only).
 
 Positivity is decided through the convolution kernel K = F^-1 phi: the
 operator matrix has entries K(x_k - x_l), so the operator maps
@@ -23,12 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, GridFunction, VectorGridFunction
+from .grid import FrequencyGrid, GridFunction
 from .rotation import Rotation, RotationQuadrature, _permute_lattice
 from .symbols import Symbol, sample_symbol
-
-#: A scalar field, or an X-valued one carrying a trailing fiber axis.
-Field = GridFunction | VectorGridFunction
 
 __all__ = [
     "MultiplierOperator",
@@ -71,14 +68,14 @@ def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndar
     return np.fft.ifftn(np.fft.fftn(values, axes=axes) * symbol, axes=axes)
 
 
-def _check_operand(op: MultiplierOperator, f: Field) -> None:
+def _check_operand(op: MultiplierOperator, f: GridFunction) -> None:
     if f.grid != op.grid:
         raise ValueError("grid mismatch between operator and function")
     if f.domain != "space":
         raise ValueError("multiplier operators act on space-domain functions")
 
 
-def apply(op: MultiplierOperator, f: Field):
+def apply(op: MultiplierOperator, f: GridFunction) -> GridFunction:
     """M_phi f = F^-1 [phi . F f]; on an X-valued f this is (M_phi tensor Id_X) f."""
     _check_operand(op, f)
     return replace(f, values=_multiply(op.sampled, f.values))
@@ -102,26 +99,28 @@ def _rotate_values(values: np.ndarray, grid: FrequencyGrid, R: Rotation, mode: s
     raise ValueError(f"mode must be 'exact' or 'interp', got {mode!r}")
 
 
-def rotate_function(f: Field, R: Rotation, mode: str = "exact"):
+def rotate_function(f: GridFunction, R: Rotation, mode: str = "exact") -> GridFunction:
     """S_R f = f(R .); exact mode is a pure index permutation and an isometry."""
     return replace(f, values=_rotate_values(f.values, f.grid, R, mode))
 
 
-def _conjugated_values(op: MultiplierOperator, R: Rotation, f: Field, mode: str) -> np.ndarray:
+def _conjugated_values(
+    op: MultiplierOperator, R: Rotation, f: GridFunction, mode: str
+) -> np.ndarray:
     """Values of (S_R^-1 M_phi S_R) f; the caller has checked f against op."""
     rotated = _rotate_values(f.values, f.grid, R, mode)
     return _rotate_values(_multiply(op.sampled, rotated), f.grid, R.inverse(), mode)
 
 
-def conjugated_apply(op: MultiplierOperator, R: Rotation, f: Field, mode: str = "exact"):
+def conjugated_apply(op: MultiplierOperator, R: Rotation, f: GridFunction, mode: str = "exact"):
     """(S_R^-1 M_phi S_R) f; equals the operator with symbol phi(R^-1 .)."""
     _check_operand(op, f)
     return replace(f, values=_conjugated_values(op, R, f, mode))
 
 
 def average_conjugated(
-    op: MultiplierOperator, rq: RotationQuadrature, f: Field, mode: str = "exact"
-):
+    op: MultiplierOperator, rq: RotationQuadrature, f: GridFunction, mode: str = "exact"
+) -> GridFunction:
     """Weighted sum over rotation nodes of the conjugated operator applied to f.
 
     The reduction runs in the fixed node order of `rq`, so results are

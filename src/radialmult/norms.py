@@ -13,11 +13,11 @@ for bit, the run it would make alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, lp_norm
 from .multiplier import MultiplierOperator, _multiply, kernel, positivity_report
 from .radialize import default_radii, project
 from .rotation import sphere_quadrature
@@ -69,8 +69,7 @@ def norm_upper_kernel(op: MultiplierOperator, p: float | None = None) -> NormEst
     For a nonnegative kernel the mass equals phi(0), which is the exact
     norm for all p.
     """
-    K = kernel(op).values
-    value = float(np.sum(np.abs(K)) * op.grid.dx**op.grid.n)
+    value = lp_norm(kernel(op), 1.0)
     kind = "exact" if p in (1.0, float("inf")) else "upper-bound"
     return NormEstimate(value=value, kind=kind, p=p, method="kernel-l1")
 

@@ -62,6 +62,9 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     """Average of phi over the sphere of each radius; phi(0) exactly at r = 0.
 
     All positive radii are evaluated in one batch of radii x nodes points.
+    Each radius's row is then reduced by its own dot product: a
+    matrix-vector product rounds differently from a dot product, which
+    would make a radius's mean depend on how many radii share the call.
     """
     _require_pointwise(phi)
     if phi.n != sq.n:
@@ -75,7 +78,8 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
         means[origin] = eval_symbol(phi, np.zeros(phi.n))
     if not origin.all():
         vals = phi.evaluate(radii[~origin, None, None] * sq.nodes[None, :, :])  # (K, m)
-        means[~origin] = vals @ sq.weights
+        weights = sq.weights.astype(complex)
+        means[~origin] = [np.dot(row, weights) for row in vals]
         # convex-average bound; the mechanism behind contractivity at p = 2
         if np.any(np.abs(means[~origin]) > np.max(np.abs(vals), axis=1) + 1e-13):
             raise ArithmeticError("sphere mean exceeds the largest sampled value")

@@ -30,7 +30,6 @@ __all__ = [
     "sphere_quadrature",
     "subgroup_quadrature",
     "rotated_symbol",
-    "is_lattice_preserving",
     "c4_rotations",
     "octahedral_rotations",
 ]
@@ -187,15 +186,6 @@ def subgroup_quadrature(rotations: list[Rotation]) -> RotationQuadrature:
     """Uniform weights over a finite set of rotations (exact for subgroup averages)."""
     k = len(rotations)
     return RotationQuadrature(tuple(rotations), np.full(k, 1.0 / k))
-
-
-def is_lattice_preserving(R: Rotation) -> bool:
-    """True when R is a signed permutation matrix, so it maps the lattice to itself."""
-    M = R.M
-    rounded = np.round(M)
-    if np.max(np.abs(M - rounded)) > ORTHO_TOL:
-        return False
-    return bool(np.all(np.sum(np.abs(rounded), axis=0) == 1))
 
 
 def c4_rotations() -> list[Rotation]:

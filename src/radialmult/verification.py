@@ -11,15 +11,14 @@ method sanity.  Tolerances are pinned here as constants; the CLI
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, VectorGridFunction, lp_norm, make_grid, transform
+from .grid import GridFunction, lp_norm, make_grid, transform
 from .multiplier import (
     MultiplierOperator,
     apply,
-    apply_vector,
     average_conjugated,
     conjugated_apply,
     positivity_report,
@@ -243,9 +242,7 @@ def _conjugation_max_dev(grid, phi, rotations, rng) -> float:
     op = MultiplierOperator(phi, grid)
     sampled = sample_symbol(phi, grid)
     f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    F = VectorGridFunction(
-        grid, 3, 2.0, rng.standard_normal(grid.shape + (3,)) + 0j, domain="space"
-    )
+    F = GridFunction(grid, rng.standard_normal(grid.shape + (3,)) + 0j, q=2.0)
     dev = 0.0
     for R in rotations:
         rot_op = MultiplierOperator(rotated_symbol(sampled, R.inverse()), grid)
@@ -254,7 +251,7 @@ def _conjugation_max_dev(grid, phi, rotations, rng) -> float:
         dev = max(dev, float(np.max(np.abs(lhs.values - rhs.values))))
         one_node = subgroup_quadrature([R])
         lhs_v = average_conjugated(op, one_node, F)
-        rhs_v = apply_vector(rot_op, F)
+        rhs_v = apply(rot_op, F)
         dev = max(dev, float(np.max(np.abs(lhs_v.values - rhs_v.values))))
     return dev
 
@@ -374,7 +371,7 @@ def check_vector_contraction(ctx: _Context) -> CheckResult:
                 vals = rng.standard_normal(ctx.grid.shape + (3,)) + 1j * rng.standard_normal(
                     ctx.grid.shape + (3,)
                 )
-                F = VectorGridFunction(ctx.grid, 3, q, vals)
+                F = GridFunction(ctx.grid, vals, q=q)
                 out = average_conjugated(op, rq, F)
                 margin = lp_norm(out, p) - upper * lp_norm(F, p)
                 worst = max(worst, margin)

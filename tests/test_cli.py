@@ -191,3 +191,15 @@ def test_exit_codes_through_module_entry_point(tmp_path):
     ok = run("converge", "--symbol", "heat:t=1", "--orders", "8,16", "--out", str(tmp_path / "c"))
     assert ok.returncode == 0, ok.stderr
     assert (tmp_path / "c" / "converge.csv").exists()
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise ValueError("permutation matrix must be 1x1")
+
+    monkeypatch.setitem(SUBCOMMANDS, "demo", (broken, SUBCOMMANDS["demo"][1]))
+    rc = main(["demo", "--grid", "8", "--extent", "4", "--out", str(tmp_path / "demo")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError: permutation matrix must be 1x1")
+    assert "Traceback" in err and "in broken" in err

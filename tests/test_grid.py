@@ -5,11 +5,11 @@ import pytest
 
 from radialmult import (
     GridFunction,
-    VectorGridFunction,
     lp_norm,
     make_grid,
     transform,
 )
+from radialmult import grid as grid_module
 
 
 def test_make_grid_basic():
@@ -84,6 +84,9 @@ def test_lp_norm_example():
     assert lp_norm(f, 2.0) == pytest.approx(2.0, abs=1e-15)
     assert lp_norm(GridFunction(g, np.zeros(4, dtype=complex)), 1.0) == 0.0
     assert lp_norm(GridFunction(g, np.zeros(4, dtype=complex)), np.inf) == 0.0
+    for p in (0.5, np.nan):
+        with pytest.raises(ValueError, match="p >= 1"):
+            lp_norm(f, p)
 
 
 def test_lp_norm_infinity_and_volume():
@@ -124,7 +127,7 @@ def test_vector_norm_d1_matches_scalar():
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     f = GridFunction(g, vals)
     for q in (1.0, 2.0, np.inf):
-        F = VectorGridFunction(g, 1, q, vals[..., None])
+        F = GridFunction(g, vals[..., None], q=q)
         for p in (1.0, 2.0, 4.0, np.inf):
             assert lp_norm(F, p) == pytest.approx(lp_norm(f, p), rel=1e-14)
 
@@ -136,5 +139,53 @@ def test_vector_norm_fiber_order():
     vals[0] = (3.0, 4.0)
     expected = {1.0: 7.0, 2.0: 5.0, np.inf: 4.0}
     for q, e in expected.items():
-        F = VectorGridFunction(g, 2, q, vals)
+        F = GridFunction(g, vals, q=q)
         assert lp_norm(F, np.inf) == pytest.approx(e, abs=1e-15)
+
+
+def test_field_rejects_what_either_field_class_rejected():
+    g = make_grid(2, 8, 4.0)
+    scalar = np.zeros(g.shape, dtype=complex)
+    with pytest.raises(ValueError, match="domain"):
+        GridFunction(g, scalar, domain="time")
+    with pytest.raises(ValueError, match="domain"):
+        GridFunction(g, scalar[..., None], domain="time", q=2.0)
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction(g, np.zeros((8, 4), dtype=complex))  # wrong grid shape
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction(g, np.zeros((8, 4, 3), dtype=complex), q=2.0)  # wrong grid shape
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction(g, scalar[..., None])  # a fiber axis needs a fiber norm
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction(g, scalar, q=2.0)  # a fiber norm needs a fiber axis
+    for q in (0.5, 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="q >= 1"):
+            GridFunction(g, scalar[..., None], q=q)
+    with pytest.raises(ValueError, match="nonempty fiber"):
+        GridFunction(g, np.zeros(g.shape + (0,), dtype=complex), q=2.0)
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction(g, np.zeros(g.shape + (2, 2), dtype=complex), q=2.0)  # two fiber axes
+
+
+def test_vector_constructor_checks_fiber_length():
+    # grid.VectorGridFunction is kept as a constructor for the benchmark's callers
+    g = make_grid(2, 8, 4.0)
+    vals = np.arange(np.prod(g.shape) * 3).reshape(g.shape + (3,)) + 0j
+    F = grid_module.VectorGridFunction(g, 3, 1.5, vals)
+    assert type(F) is GridFunction and F.q == 1.5 and np.array_equal(F.values, vals)
+    with pytest.raises(ValueError, match="d = 2"):
+        grid_module.VectorGridFunction(g, 2, 1.5, vals)
+    assert "VectorGridFunction" not in grid_module.__all__
+
+
+def test_transform_carries_the_fiber_axis():
+    g = make_grid(2, 8, 4.0)
+    rng = np.random.default_rng(2)
+    vals = rng.standard_normal(g.shape + (3,)) + 1j * rng.standard_normal(g.shape + (3,))
+    F = GridFunction(g, vals, q=np.inf)
+    Fhat = transform(F, "forward")
+    assert Fhat.q == np.inf and Fhat.domain == "frequency"
+    for i in range(3):
+        component = transform(GridFunction(g, vals[..., i]), "forward").values
+        assert np.array_equal(Fhat.values[..., i], component)
+    assert np.max(np.abs(transform(Fhat, "inverse").values - vals)) <= 1e-12

@@ -7,9 +7,7 @@ from radialmult import (
     GridFunction,
     MultiplierOperator,
     Rotation,
-    VectorGridFunction,
     apply,
-    apply_vector,
     average_conjugated,
     c4_rotations,
     conjugated_apply,
@@ -26,6 +24,7 @@ from radialmult import (
     so_quadrature,
     sphere_quadrature,
 )
+from radialmult import multiplier as multiplier_module
 from radialmult.radialize import default_radii
 from radialmult.rotation import subgroup_quadrature
 
@@ -62,8 +61,8 @@ def test_apply_vector_componentwise():
     g = make_grid(2, 16, 8.0)
     op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 2), g)
     f = _rand_f(g, 3)
-    F = VectorGridFunction(g, 3, 2.0, np.stack([f.values] * 3, axis=-1))
-    out = apply_vector(op, F)
+    F = GridFunction(g, np.stack([f.values] * 3, axis=-1), q=2.0)
+    out = apply(op, F)
     ref = apply(op, f).values
     for i in range(3):
         assert np.array_equal(out.values[..., i], out.values[..., 0])
@@ -74,18 +73,18 @@ def test_apply_vector_d1_matches_scalar():
     g = make_grid(2, 8, 8.0)
     op = MultiplierOperator(make_named_symbol("poisson", {"t": 1.0}, 2), g)
     f = _rand_f(g, 4)
-    F = VectorGridFunction(g, 1, 2.0, f.values[..., None])
-    assert np.array_equal(apply_vector(op, F).values[..., 0], apply(op, f).values)
+    F = GridFunction(g, f.values[..., None], q=2.0)
+    assert np.array_equal(apply(op, F).values[..., 0], apply(op, f).values)
 
 
 def _rand_vector(grid, d=3, q=2.0, seed=0):
     rng = np.random.default_rng(seed)
     shape = grid.shape + (d,)
-    return VectorGridFunction(grid, d, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return GridFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), q=q)
 
 
 def _components(F):
-    return [GridFunction(F.grid, F.values[..., i]) for i in range(F.d)]
+    return [GridFunction(F.grid, F.values[..., i]) for i in range(F.values.shape[-1])]
 
 
 def test_apply_on_vector_field_matches_componentwise_apply():
@@ -93,8 +92,8 @@ def test_apply_on_vector_field_matches_componentwise_apply():
     op = MultiplierOperator(make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2), g)
     F = _rand_vector(g, q=np.inf, seed=13)
     out = apply(op, F)
-    assert isinstance(out, VectorGridFunction) and (out.d, out.q) == (F.d, F.q)
-    assert np.array_equal(out.values, apply_vector(op, F).values)
+    assert out.q == F.q and out.values.shape == F.values.shape
+    assert multiplier_module.apply_vector is apply  # the name the benchmark calls
     stacked = np.stack([apply(op, c).values for c in _components(F)], axis=-1)
     assert np.array_equal(out.values, stacked)
 
@@ -105,7 +104,7 @@ def test_conjugated_apply_exact_vector_matches_components():
     F = _rand_vector(g, seed=14)
     for R in c4_rotations():
         out = conjugated_apply(op, R, F)
-        assert isinstance(out, VectorGridFunction)
+        assert out.q == F.q
         stacked = np.stack([conjugated_apply(op, R, c).values for c in _components(F)], axis=-1)
         assert np.array_equal(out.values, stacked)
 
@@ -116,7 +115,7 @@ def test_average_conjugated_interp_vector_matches_components():
     F = _rand_vector(g, seed=15)
     rq = so_quadrature(2, 16)
     out = average_conjugated(op, rq, F, mode="interp")
-    assert isinstance(out, VectorGridFunction)
+    assert out.q == F.q
     stacked = np.stack(
         [average_conjugated(op, rq, c, mode="interp").values for c in _components(F)], axis=-1
     )

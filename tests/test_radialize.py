@@ -147,6 +147,8 @@ def test_radial_deviation_examples():
     g = make_grid(2, 32, 8.0)
     heat = make_named_symbol("heat", {"t": 1.0}, 2)
     assert radial_deviation(heat, g, SQ256) <= 1e-12
+    # at the reference grid each sphere mean rounds as a lone radius would
+    assert radial_deviation(heat, make_grid(2, 64, 16.0), SQ256) < 1e-15
     riesz = make_named_symbol("riesz", {"j": 1}, 2)
     assert radial_deviation(riesz, g, sphere_quadrature(2, 64)) >= 0.5
     box = make_named_symbol("box_indicator", {"a": 1.0}, 2)
@@ -156,8 +158,9 @@ def test_radial_deviation_examples():
 
 def test_radial_deviation_matches_per_radius_means():
     # One batched evaluation over all lattice radii replaces a spherical_mean
-    # call per radius.  The batch reduces with a matrix-vector product and a
-    # single radius with a dot product, so the two may differ in the last bit.
+    # call per radius.  The batch takes its radii as dxi * sqrt(j1^2 + ...),
+    # the loop as float norms of the lattice points, so the two may differ in
+    # the last bit.
     for n, N, L in ((1, 64, 16.0), (2, 32, 8.0), (3, 16, 8.0)):
         g = make_grid(n, N, L)
         phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 2.0, 3.0][:n])}, n)
@@ -189,6 +192,20 @@ def test_radial_deviation_one_sphere_per_lattice_radius(monkeypatch):
         j = range(-(N // 2) + 1, N // 2)  # Nyquist rows excluded
         expected = len({sum(k * k for k in idx) for idx in itertools.product(j, repeat=n)})
         assert counts.pop() == expected  # 431 at n = 2, N = 64
+
+
+@pytest.mark.parametrize("n,N,L,order", [(2, 32, 8.0, 256), (3, 16, 8.0, 64)])
+def test_project_means_are_bitwise_the_one_radius_means(n, N, L, order):
+    # a radius's mean must not depend on how many radii share the batch
+    sq = sphere_quadrature(n, order)
+    radii = default_radii(make_grid(n, N, L))
+    for phi in (
+        make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0, 2.0][:n])}, n),
+        make_named_symbol("box_indicator", {"a": 1.0}, n),
+    ):
+        values = project(phi, n, radii, sq).profile.values
+        for k in range(0, len(radii), 7):
+            assert values[k] == spherical_mean(phi, radii[k], sq)
 
 
 def test_sphere_means_reject_negative_radius():

@@ -17,7 +17,7 @@ from radialmult import (
     so_quadrature,
     sphere_quadrature,
 )
-from radialmult.rotation import _permute_lattice, is_lattice_preserving, subgroup_quadrature
+from radialmult.rotation import _permute_lattice, subgroup_quadrature
 
 
 def _angle(R):
@@ -146,10 +146,20 @@ def test_sphere_s0():
     assert np.allclose(sq.weights, 0.5)
 
 
+def _is_signed_permutation(M):
+    """Entries in {-1, 0, 1}, one nonzero per row and per column."""
+    nonzero = M != 0
+    return (
+        bool(np.all(np.isin(M, (-1.0, 0.0, 1.0))))
+        and bool(np.all(nonzero.sum(axis=0) == 1))
+        and bool(np.all(nonzero.sum(axis=1) == 1))
+    )
+
+
 def test_c4_group():
     rots = c4_rotations()
     assert len(rots) == 4
-    assert all(is_lattice_preserving(R) for R in rots)
+    assert all(_is_signed_permutation(R.M) for R in rots)
     rq = subgroup_quadrature(rots)
     assert np.allclose(rq.weights, 0.25)
 
@@ -157,19 +167,12 @@ def test_c4_group():
 def test_octahedral_group():
     rots = octahedral_rotations()
     assert len(rots) == 24
-    assert all(is_lattice_preserving(R) for R in rots)
+    assert all(_is_signed_permutation(R.M) for R in rots)
     # closed under composition
     mats = {tuple(np.round(R.M).astype(int).ravel()) for R in rots}
     for A in rots[:6]:
         for B in rots[:6]:
             assert tuple(np.round(A.M @ B.M).astype(int).ravel()) in mats
-
-
-def test_is_lattice_preserving():
-    th = 0.3
-    R = Rotation(2, np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]))
-    assert not is_lattice_preserving(R)
-    assert is_lattice_preserving(Rotation(2, np.array([[0.0, -1.0], [1.0, 0.0]])))
 
 
 def test_rotated_symbol_identity():

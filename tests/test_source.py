@@ -1,6 +1,7 @@
 """Source-level invariants of the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import radialmult
@@ -17,3 +18,40 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by import statements anywhere in a module, with their line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def test_every_name_in_all_resolves():
+    # the benchmark tracer finds each layer's functions through __all__
+    missing = []
+    for path in SOURCES:
+        name = "radialmult" if path.stem == "__init__" else f"radialmult.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{path.name}: {n}" for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, missing
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue  # the package root's imports are its exports
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in used
+        ]
+    assert not unused, unused
