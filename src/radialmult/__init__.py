@@ -15,7 +15,6 @@ from .symbols import (
     NamedSymbol,
     SampledSymbol,
     RadialSymbol,
-    RadialProfile,
     make_named_symbol,
     eval_symbol,
     sample_symbol,
@@ -28,9 +27,8 @@ from .rotation import (
     haar_rotation,
     so_quadrature,
     sphere_quadrature,
+    lattice_group,
     rotated_symbol,
-    c4_rotations,
-    octahedral_rotations,
 )
 from .radialize import spherical_mean, project, project_mc, radial_deviation, default_radii
 from .multiplier import (

@@ -85,7 +85,7 @@ def _write_profile(path: str, cfg: argparse.Namespace, proj) -> None:
     """CSV of a projected symbol's radial profile: radius, real and imaginary part."""
     rows = [
         [float(r), float(v.real), float(v.imag)]
-        for r, v in zip(proj.profile.radii, proj.profile.values)
+        for r, v in zip(proj.radii, proj.values)
     ]
     _write_csv(path, cfg, ["r", "re", "im"], rows)
 
@@ -104,7 +104,7 @@ def cmd_radialize(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi, order = _symbol_and_order(cfg)
     sq = sphere_quadrature(cfg.n, order)
-    proj = project(phi, cfg.n, default_radii(grid), sq)
+    proj = project(phi, default_radii(grid), sq)
     _write_profile(os.path.join(cfg.out, "profile.csv"), cfg, proj)
     dev_sq = sphere_quadrature(cfg.n, min(order, 64))
     stats = {
@@ -150,7 +150,7 @@ def cmd_positivity(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi, order = _symbol_and_order(cfg)
     tol = float(cfg.tol.get("positivity", 1e-10))
-    proj = project(phi, cfg.n, default_radii(grid), sphere_quadrature(cfg.n, order))
+    proj = project(phi, default_radii(grid), sphere_quadrature(cfg.n, order))
     rep_orig = positivity_report(MultiplierOperator(phi, grid), tol=tol)
     rep_proj = positivity_report(MultiplierOperator(proj, grid), tol=tol)
     _write_json(
@@ -213,7 +213,7 @@ def cmd_demo(cfg: argparse.Namespace) -> int:
     summary = []
     for label, phi in reference_catalog(cfg.n):
         sq = sphere_quadrature(cfg.n, _default_order(phi))
-        proj = project(phi, cfg.n, radii, sq)
+        proj = project(phi, radii, sq)
         _write_profile(os.path.join(cfg.out, f"profile_{label}.csv"), cfg, proj)
         rep_o = positivity_report(MultiplierOperator(phi, grid))
         rep_p = positivity_report(MultiplierOperator(proj, grid))

@@ -221,7 +221,7 @@ def contraction_report(
 ) -> ContractionReport:
     """Compare norm estimates of M_phi against those of the radialized symbol."""
     n = grid.n
-    pphi = project(phi, n, default_radii(grid), sphere_quadrature(n, sphere_order))
+    pphi = project(phi, default_radii(grid), sphere_quadrature(n, sphere_order))
     ops = {"original": MultiplierOperator(phi, grid), "radialized": MultiplierOperator(pphi, grid)}
 
     rows = []

@@ -5,6 +5,8 @@ Two independent computation paths:
 * `project` reduces the SO(n) average to a sphere average: for |xi| = r
   the orbit {R^-1 xi} sweeps the sphere of radius r uniformly, so the
   averaged symbol is the spherical mean profile evaluated at |xi|.
+  `project(phi, radii, sq)` returns that profile on the given radii as
+  a `RadialSymbol` of phi's dimension; sq must have the same dimension.
 * `project_mc` computes the average literally as a weighted sum of
   phi(R_j^-1 xi) over rotation quadrature nodes, on a grid.
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .grid import FrequencyGrid
 from .rotation import RotationQuadrature, SphereQuadrature
-from .symbols import RadialProfile, RadialSymbol, SampledSymbol, Symbol, eval_symbol
+from .symbols import RadialSymbol, SampledSymbol, Symbol, eval_symbol
 
 __all__ = [
     "spherical_mean",
@@ -91,13 +93,10 @@ def spherical_mean(phi: Symbol, r: float, sq: SphereQuadrature) -> complex:
     return complex(_sphere_means(phi, np.array([r]), sq)[0])
 
 
-def project(phi: Symbol, n: int, radii: np.ndarray, sq: SphereQuadrature) -> RadialSymbol:
-    """Rotation average of phi as a radial profile over the given radii."""
-    if phi.n != n or sq.n != n:
-        raise ValueError("symbol, quadrature and requested dimension must agree")
+def project(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> RadialSymbol:
+    """Rotation average of phi as a radial symbol with a profile on the given radii."""
     radii = np.asarray(radii, dtype=float)
-    values = _sphere_means(phi, radii, sq)
-    return RadialSymbol(profile=RadialProfile(radii=radii, values=values), n=n)
+    return RadialSymbol(radii, _sphere_means(phi, radii, sq), phi.n)
 
 
 def project_mc(phi: Symbol, grid: FrequencyGrid, rq: RotationQuadrature) -> SampledSymbol:

@@ -10,6 +10,10 @@ integrates trigonometric polynomials of degree < m exactly.  On SO(3)
 the Euler-angle factorization of Haar measure gives a product rule,
 uniform in the two azimuthal angles and Gauss-Legendre in cos(beta).
 Sphere rules are the analogous product rules one dimension down.
+
+`lattice_group(n)` holds the rotations that map the frequency lattice
+onto itself; they act on the torus by exact index permutation, which
+is how `rotated_symbol` re-indexes a lattice sample.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FrequencyGrid
-from .symbols import RadialSymbol, SampledSymbol, Symbol
+from .symbols import SampledSymbol
 
 __all__ = [
     "Rotation",
@@ -29,9 +33,8 @@ __all__ = [
     "so_quadrature",
     "sphere_quadrature",
     "subgroup_quadrature",
+    "lattice_group",
     "rotated_symbol",
-    "c4_rotations",
-    "octahedral_rotations",
 ]
 
 ORTHO_TOL = 1e-12
@@ -188,56 +191,51 @@ def subgroup_quadrature(rotations: list[Rotation]) -> RotationQuadrature:
     return RotationQuadrature(tuple(rotations), np.full(k, 1.0 / k))
 
 
+def lattice_group(n: int) -> list[Rotation]:
+    """The rotations that map the frequency lattice onto itself.
+
+    These are the signed permutation matrices of determinant +1: 1, 4
+    and 24 of them for n = 1, 2, 3.  They are listed breadth-first from
+    the identity under the quarter turns in the coordinate planes
+    (i, i+1), so at n = 2 the list runs through the turns by 0, 90, 180
+    and 270 degrees.
+    """
+    if n not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    turns = [np.eye(n, dtype=int) for _ in range(n - 1)]
+    for i, T in enumerate(turns):
+        T[i : i + 2, i : i + 2] = [[0, -1], [1, 0]]
+    group = [np.eye(n, dtype=int)]
+    seen = {group[0].tobytes()}
+    for M in group:  # the list grows while it is walked: breadth-first
+        for T in turns:
+            P = T @ M
+            if P.tobytes() not in seen:
+                seen.add(P.tobytes())
+                group.append(P)
+    return [Rotation(n, M.astype(float)) for M in group]
+
+
 def c4_rotations() -> list[Rotation]:
-    """The four lattice-preserving rotations of the plane (multiples of 90 degrees)."""
-    return [Rotation(2, np.round(_rotation_2d(k * np.pi / 2.0))) for k in range(4)]
+    """`lattice_group(2)`; kept for the benchmark's conjugation workload."""
+    return lattice_group(2)
 
 
 def octahedral_rotations() -> list[Rotation]:
-    """The 24 rotations of the cube: signed 3x3 permutation matrices with det +1."""
-    from itertools import permutations, product
-
-    out = []
-    for perm in permutations(range(3)):
-        for signs in product((1.0, -1.0), repeat=3):
-            M = np.zeros((3, 3))
-            for row, (col, s) in enumerate(zip(perm, signs)):
-                M[row, col] = s
-            if np.linalg.det(M) > 0:
-                out.append(Rotation(3, M))
-    if len(out) != 24:
-        raise RuntimeError(f"expected 24 cube rotations, built {len(out)}")
-    return out
+    """`lattice_group(3)`; kept for the benchmark's conjugation workload."""
+    return lattice_group(3)
 
 
-@dataclass(frozen=True)
-class RotatedSymbol(Symbol):
-    """Lazy composition xi -> base(R xi)."""
+def rotated_symbol(phi: SampledSymbol, R: Rotation) -> SampledSymbol:
+    """The lattice sample xi -> phi(R xi), for a lattice-preserving R.
 
-    base: Symbol
-    R: Rotation
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return self.base.evaluate(points @ self.R.M.T)
-
-
-def rotated_symbol(phi: Symbol, R: Rotation) -> Symbol:
-    """The symbol xi -> phi(R xi).
-
-    Radial symbols are returned unchanged (exact invariance).  Sampled
-    symbols require a lattice-preserving R and are re-indexed with the
-    torus frequency wrap, so the result is again a lattice sample.
+    The samples are re-indexed with the torus frequency wrap, so the
+    result is again a sample on the same lattice.  Any other symbol
+    raises TypeError: sample it on a grid first.
     """
-    if isinstance(phi, RadialSymbol):
-        return phi
-    if isinstance(phi, SampledSymbol):
-        return SampledSymbol(phi.grid, _permute_lattice(phi.values, phi.grid, R.M))
-    return RotatedSymbol(base=phi, R=R)
+    if not isinstance(phi, SampledSymbol):
+        raise TypeError(f"rotated_symbol re-indexes a SampledSymbol, got {type(phi).__name__}")
+    return SampledSymbol(phi.grid, _permute_lattice(phi.values, phi.grid, R.M))
 
 
 def _permute_lattice(values: np.ndarray, grid: FrequencyGrid, M: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Multiplier symbols: a closed-form catalog, grid samples and radial profiles.
 
-A symbol is a complex function of frequency.  Three representations:
+A symbol is a complex function of frequency, evaluated at (..., n)
+points by `evaluate`.  Three representations, one class each:
 
 * ``NamedSymbol`` -- closed-form catalog entry, evaluable anywhere.
 * ``SampledSymbol`` -- values on the frequency lattice of one grid,
   evaluable only at lattice points (exact match within 1e-9 * dxi).
-* ``RadialSymbol`` -- a radial profile interpolated at |xi|, evaluable
-  anywhere and rotation invariant by construction.
+* ``RadialSymbol`` -- a profile on radii, linearly interpolated at |xi|,
+  evaluable anywhere and rotation invariant by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "NamedSymbol",
     "SampledSymbol",
     "RadialSymbol",
-    "RadialProfile",
     "SymbolSpec",
     "SYMBOL_SPECS",
     "make_named_symbol",
@@ -44,40 +44,6 @@ class Symbol:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an array of frequency points of shape (..., n)."""
         raise NotImplementedError
-
-    def __call__(self, points) -> np.ndarray:
-        return self.evaluate(np.asarray(points, dtype=float))
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Piecewise-linear profile on radii 0 = r_0 < r_1 < ... < r_K.
-
-    Evaluation clamps to the endpoint values outside [0, r_K].
-    """
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if radii.ndim != 1 or radii.size < 2:
-            raise ValueError("profile needs at least two radii")
-        if radii[0] != 0.0:
-            raise ValueError("profile radii must start at 0")
-        if not np.all(np.diff(radii) > 0):
-            raise ValueError("profile radii must be strictly increasing")
-        if values.shape != radii.shape:
-            raise ValueError("profile values must match radii in length")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        re = np.interp(r, self.radii, self.values.real)
-        im = np.interp(r, self.radii, self.values.imag)
-        return re + 1j * im
 
 
 def _require(ok: bool, message: str) -> None:
@@ -105,7 +71,18 @@ def _positive(key: str):
 
 
 def _cli_scalar(key: str):
-    return lambda kv, n: {key: kv.get(key, 1.0)}
+    return lambda kv, n: {key: kv.pop(key, 1.0)}
+
+
+def _cli_int(kv: dict, key: str, default: int) -> int:
+    value = kv.pop(key, default)
+    _require(float(value).is_integer(), f"{key} must be an integer, got {value}")
+    return int(value)
+
+
+def _ball_from_cli(kv: dict, n: int) -> dict:
+    _require(not {"r", "rho"} <= kv.keys(), "give the radius as r or rho, not both")
+    return {"rho": kv.pop("rho") if "rho" in kv else kv.pop("r", 1.0)}
 
 
 def _check_riesz(p: dict, n: int) -> dict:
@@ -133,17 +110,15 @@ def _check_modulation(p: dict, n: int) -> dict:
 
 
 def _gaussian_from_cli(kv: dict[str, float], n: int) -> dict:
-    """A from keys a<i><j>, mirrored to a<j><i>; unset diagonal entries are 1."""
-    A = np.zeros((n, n))
+    """A from keys a<i><j>, mirrored to a<j><i>; unset entries are those of the identity."""
+    A = np.eye(n)
     for i in range(n):
-        for j in range(n):
-            key = f"a{i + 1}{j + 1}"
-            if key in kv:
-                A[i, j] = kv[key]
-                A[j, i] = kv[key]
-    for i in range(n):
-        if A[i, i] == 0.0:
-            A[i, i] = 1.0
+        for j in range(i, n):
+            upper, lower = f"a{i + 1}{j + 1}", f"a{j + 1}{i + 1}"
+            given = {kv.pop(key) for key in {upper, lower} if key in kv}
+            _require(len(given) <= 1, f"{upper} and {lower} must be equal, got {sorted(given)}")
+            if given:
+                A[i, j] = A[j, i] = given.pop()
     return {"A": A}
 
 
@@ -166,10 +141,11 @@ class SymbolSpec:
     """One catalog entry, the only place that lists the symbol.
 
     check(params, n) validates catalog parameters and returns them with
-    normalized types; from_cli(kv, n) maps CLI key=value pairs to
-    catalog parameters; formula(points, params) evaluates at (..., n)
-    points.  kink marks a symbol whose jump makes sphere averages
-    converge slowly: it gets the indicator sphere-quadrature order.
+    normalized types; from_cli(kv, n) pops the CLI key=value pairs it
+    reads at dimension n and maps them to catalog parameters;
+    formula(points, params) evaluates at (..., n) points.  kink marks a
+    symbol whose jump makes sphere averages converge slowly: it gets the
+    indicator sphere-quadrature order.
     """
 
     cli_names: tuple[str, ...]
@@ -194,22 +170,22 @@ SYMBOL_SPECS: dict[str, SymbolSpec] = {
         ("poisson",), _positive("t"), _cli_scalar("t"),
         lambda x, p: np.exp(-p["t"] * np.linalg.norm(x, axis=-1)).astype(complex)),
     "ball_indicator": SymbolSpec(
-        ("ballind",), _positive("rho"), lambda kv, n: {"rho": kv.get("rho", kv.get("r", 1.0))},
+        ("ballind",), _positive("rho"), _ball_from_cli,
         lambda x, p: (np.linalg.norm(x, axis=-1) <= p["rho"]).astype(complex), kink=True),
     "box_indicator": SymbolSpec(
         ("boxind",), _positive("a"), _cli_scalar("a"),
         lambda x, p: (np.max(np.abs(x), axis=-1) <= p["a"]).astype(complex), kink=True),
     "riesz": SymbolSpec(
-        ("riesz",), _check_riesz, lambda kv, n: {"j": int(kv.get("j", 1))}, _riesz),
+        ("riesz",), _check_riesz, lambda kv, n: {"j": _cli_int(kv, "j", 1)}, _riesz),
     "bochner_riesz": SymbolSpec(
         ("bochnerriesz",), _check_bochner_riesz, _cli_scalar("delta"),
         lambda x, p: (np.clip(1.0 - np.sum(x**2, axis=-1), 0.0, None) ** p["delta"]).astype(complex)),
     "monomial": SymbolSpec(
         ("monomial",), _check_monomial,
-        lambda kv, n: {"alpha": tuple(int(kv.get(f"a{i + 1}", 0)) for i in range(n))}, _monomial),
+        lambda kv, n: {"alpha": tuple(_cli_int(kv, f"a{i + 1}", 0) for i in range(n))}, _monomial),
     "modulation": SymbolSpec(
         ("modulation",), _check_modulation,
-        lambda kv, n: {"a": tuple(kv.get(f"a{i + 1}", 0.0) for i in range(n))},
+        lambda kv, n: {"a": tuple(kv.pop(f"a{i + 1}", 0.0) for i in range(n))},
         lambda x, p: np.exp(1j * np.tensordot(x, np.asarray(p["a"]), axes=([-1], [0])))),
 }
 
@@ -287,16 +263,38 @@ class SampledSymbol(Symbol):
 
 @dataclass(frozen=True)
 class RadialSymbol(Symbol):
-    """Symbol xi -> profile(|xi|); rotation invariant by construction."""
+    """Symbol xi -> profile(|xi|); rotation invariant by construction.
 
-    profile: RadialProfile
+    The profile takes `values` at radii 0 = r_0 < r_1 < ... < r_K and is
+    piecewise linear in between; it clamps to the endpoint values
+    outside [0, r_K].
+    """
+
+    radii: np.ndarray
+    values: np.ndarray
     n: int
+
+    def __post_init__(self):
+        radii = np.asarray(self.radii, dtype=float)
+        values = np.asarray(self.values, dtype=complex)
+        if radii.ndim != 1 or radii.size < 2:
+            raise ValueError("profile needs at least two radii")
+        if radii[0] != 0.0:
+            raise ValueError("profile radii must start at 0")
+        if not np.all(np.diff(radii) > 0):
+            raise ValueError("profile radii must be strictly increasing")
+        if values.shape != radii.shape:
+            raise ValueError("profile values must match radii in length")
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "values", values)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.shape[-1] != self.n:
             raise ValueError(f"points must have last axis {self.n}")
-        return self.profile(np.linalg.norm(points, axis=-1))
+        r = np.linalg.norm(points, axis=-1)
+        re = np.interp(r, self.radii, self.values.real)
+        return re + 1j * np.interp(r, self.radii, self.values.imag)
 
 
 def eval_symbol(phi: Symbol, xi) -> complex:
@@ -333,7 +331,7 @@ class SymbolSpecError(ValueError):
 
 
 def parse_symbol_spec(spec: str, n: int) -> NamedSymbol:
-    """Parse `name:key=val,...` into a catalog symbol for dimension n."""
+    """Parse `name:key=val,...` for dimension n; each key once, and only keys the symbol reads."""
     head, sep, tail = spec.partition(":")
     if head not in _CLI_NAMES:
         raise SymbolSpecError(spec, 0, f"unknown symbol name {head!r}")
@@ -344,6 +342,8 @@ def parse_symbol_spec(spec: str, n: int) -> NamedSymbol:
             if "=" not in item:
                 raise SymbolSpecError(spec, pos, f"expected key=value, got {item!r}")
             key, val = item.split("=", 1)
+            if key.strip() in kv:
+                raise SymbolSpecError(spec, pos, f"key {key.strip()!r} given twice")
             try:
                 kv[key.strip()] = float(val)
             except ValueError:
@@ -351,7 +351,9 @@ def parse_symbol_spec(spec: str, n: int) -> NamedSymbol:
             pos += len(item) + 1
     name = _CLI_NAMES[head]
     try:
-        return make_named_symbol(name, SYMBOL_SPECS[name].from_cli(kv, n), n)
+        phi = make_named_symbol(name, SYMBOL_SPECS[name].from_cli(kv, n), n)
     except (KeyError, ValueError) as exc:
         raise SymbolSpecError(spec, len(head) + 1, str(exc)) from None
-
+    if kv:  # from_cli popped every key it reads
+        raise SymbolSpecError(spec, len(head) + 1, f"{head} does not read {sorted(kv)} at n={n}")
+    return phi

@@ -26,9 +26,8 @@ from .multiplier import (
 from .norms import norm_lower_power, norm_p2_exact, norm_upper_kernel
 from .radialize import INDICATOR_ORDER, SMOOTH_ORDER, default_radii, project, spherical_mean
 from .rotation import (
-    c4_rotations,
     haar_rotation,
-    octahedral_rotations,
+    lattice_group,
     rotated_symbol,
     so_quadrature,
     sphere_quadrature,
@@ -96,7 +95,7 @@ class _Context:
         grid = grid or self.grid
         if (label, grid) not in self._proj:
             phi, radii = dict(self.catalog)[label], default_radii(grid)
-            self._proj[label, grid] = project(phi, self.cfg.n, radii, self.sq_for(label))
+            self._proj[label, grid] = project(phi, radii, self.sq_for(label))
         return self._proj[label, grid]
 
 
@@ -113,8 +112,8 @@ def check_idempotence(ctx: _Context) -> CheckResult:
         ("ballind", 1e-3),
     ]:
         p1 = ctx.projection(label)
-        p2 = project(p1, ctx.cfg.n, ctx.radii, ctx.sq_for(label))
-        dev = float(np.max(np.abs(p2.profile.values - p1.profile.values)))
+        p2 = project(p1, ctx.radii, ctx.sq_for(label))
+        dev = float(np.max(np.abs(p2.values - p1.values)))
         details[label] = dev
         ok = ok and dev <= tol
     return CheckResult("1-idempotence", ok, details)
@@ -128,12 +127,12 @@ def check_fixed_point(ctx: _Context) -> CheckResult:
     for label in ("heat", "poisson", "ballind"):
         phi = dict(ctx.catalog)[label]
         proj = ctx.projection(label)
-        radii = proj.profile.radii
-        direct = np.array([eval_symbol(phi, np.r_[r, np.zeros(ctx.cfg.n - 1)]) for r in radii])
+        radii = proj.radii
+        direct = phi.evaluate(radii[:, None] * np.eye(ctx.cfg.n)[0])  # points (r, 0, ...)
         keep = np.ones(radii.shape, dtype=bool)
         if label == "ballind":
             keep = np.abs(radii - 1.0) > kink_halfwidth
-        dev = float(np.max(np.abs(proj.profile.values[keep] - direct[keep])))
+        dev = float(np.max(np.abs(proj.values[keep] - direct[keep])))
         details[label] = dev
         ok = ok and dev <= 1e-12
     return CheckResult("2-fixed-point", ok, details)
@@ -163,7 +162,7 @@ def check_radiality(ctx: _Context) -> CheckResult:
 def check_odd_annihilation(ctx: _Context) -> CheckResult:
     """The odd Riesz symbol averages to zero."""
     proj = ctx.projection("riesz")
-    dev = float(np.max(np.abs(proj.profile.values)))
+    dev = float(np.max(np.abs(proj.values)))
     return CheckResult("4-odd-annihilation", dev <= 1e-14, {"riesz": dev})
 
 
@@ -219,7 +218,7 @@ def check_positivity_preservation(ctx: _Context) -> CheckResult:
     iso = make_named_symbol("gaussian_aniso", {"A": np.eye(ctx.cfg.n)}, ctx.cfg.n)
     cases = [
         ("heat", dict(ctx.catalog)["heat"], ctx.projection("heat")),
-        ("gaussiso", iso, project(iso, ctx.cfg.n, ctx.radii, ctx.sq_smooth)),
+        ("gaussiso", iso, project(iso, ctx.radii, ctx.sq_smooth)),
     ]
     for label, phi, proj in cases:
         op = MultiplierOperator(phi, ctx.grid)
@@ -260,10 +259,10 @@ def check_conjugation_identity(ctx: _Context) -> CheckResult:
     """S_R^-1 M_phi S_R = M_{phi(R^-1 .)} for all lattice-preserving rotations."""
     rng = np.random.default_rng(ctx.cfg.seed)
     riesz = dict(ctx.catalog)["riesz"]
-    dev2 = _conjugation_max_dev(ctx.grid, riesz, c4_rotations(), rng)
+    dev2 = _conjugation_max_dev(ctx.grid, riesz, lattice_group(2), rng)
     grid3 = make_grid(3, 16, 4.0)
     gauss3 = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 2.0, 3.0])}, 3)
-    dev3 = _conjugation_max_dev(grid3, gauss3, octahedral_rotations(), rng)
+    dev3 = _conjugation_max_dev(grid3, gauss3, lattice_group(3), rng)
     ok = dev2 <= 1e-12 and dev3 <= 1e-12
     return CheckResult("8-conjugation", ok, {"n2_c4": dev2, "n3_octahedral": dev3})
 
@@ -273,13 +272,13 @@ def check_q_vs_p(ctx: _Context) -> CheckResult:
     phi = dict(ctx.catalog)["gaussaniso"]
     op = MultiplierOperator(phi, ctx.grid)
     rng = np.random.default_rng(ctx.cfg.seed)
-    # exact mode: C4 average vs the C4-averaged sampled symbol
+    # exact mode: lattice-group average vs the group-averaged sampled symbol
     sampled = sample_symbol(phi, ctx.grid)
-    c4 = c4_rotations()
-    avg_values = np.mean([rotated_symbol(sampled, R.inverse()).values for R in c4], axis=0)
+    group = lattice_group(ctx.cfg.n)
+    avg_values = np.mean([rotated_symbol(sampled, R.inverse()).values for R in group], axis=0)
     avg_op = MultiplierOperator(SampledSymbol(ctx.grid, avg_values), ctx.grid)
     f = GridFunction(ctx.grid, rng.standard_normal(ctx.grid.shape) + 0j)
-    lhs = average_conjugated(op, subgroup_quadrature(c4), f)
+    lhs = average_conjugated(op, subgroup_quadrature(group), f)
     rhs = apply(avg_op, f)
     dev_exact = float(np.max(np.abs(lhs.values - rhs.values)))
     # interpolation mode: dense SO(2) rule vs the projected symbol
@@ -308,7 +307,7 @@ def check_quadrature_convergence(ctx: _Context) -> CheckResult:
     details = {"errors": tuple(errors)}
     if ctx.cfg.n == 2:
         proj = ctx.projection("boxind")
-        radii = proj.profile.radii
+        radii = proj.radii
         with np.errstate(invalid="ignore"):
             oracle_vals = np.where(
                 radii <= 1.0,
@@ -322,7 +321,7 @@ def check_quadrature_convergence(ctx: _Context) -> CheckResult:
         keep = ~(
             ((radii >= 0.98) & (radii <= 1.02)) | ((radii >= 1.39) & (radii <= 1.43))
         )
-        box_dev = float(np.max(np.abs(proj.profile.values[keep] - oracle_vals[keep])))
+        box_dev = float(np.max(np.abs(proj.values[keep] - oracle_vals[keep])))
         details["box_profile_dev"] = box_dev
         ok = ok and box_dev <= 5e-3
     return CheckResult("10-quadrature-convergence", ok, details)
@@ -360,7 +359,7 @@ def check_vector_contraction(ctx: _Context) -> CheckResult:
     phi = dict(ctx.catalog)["gaussaniso"]
     op = MultiplierOperator(phi, ctx.grid)
     upper = norm_upper_kernel(op).value
-    rq = subgroup_quadrature(c4_rotations())
+    rq = subgroup_quadrature(lattice_group(ctx.cfg.n))
     rng = np.random.default_rng(ctx.cfg.seed)
     details = {}
     ok = True

@@ -123,6 +123,26 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["positivity", *heat, "--tol", "positivty=1e-8"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "heat:tt=2",  # a key heat does not read
+        "heat:t=1,t=2",  # a repeated key
+        "ballind:r=1,rho=1",  # a radius and its alias
+        "gaussaniso:a12=0.5,a21=0.3",  # a mirrored pair that disagrees
+        "gaussaniso:a11=2,a13=0.1",  # a key for n = 3 at n = 2
+        "riesz:j=1.7",  # non-integer values for integer parameters
+        "riesz:j=inf",
+        "monomial:a1=2.9",
+    ],
+)
+def test_symbol_spec_that_would_drop_a_parameter_exits_2(tmp_path, capsys, spec):
+    out = tmp_path / "out"
+    assert main(["positivity", "--symbol", spec, "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad symbol spec")
+    assert not out.exists()
+
+
 def test_csv_embeds_config(tmp_path):
     out = str(tmp_path)
     main(["converge", "--symbol", "heat:t=1", "--orders", "8,16", "--out", out])

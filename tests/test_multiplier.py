@@ -9,13 +9,12 @@ from radialmult import (
     Rotation,
     apply,
     average_conjugated,
-    c4_rotations,
     conjugated_apply,
     kernel,
+    lattice_group,
     lp_norm,
     make_grid,
     make_named_symbol,
-    octahedral_rotations,
     positivity_report,
     project,
     rotate_function,
@@ -102,7 +101,7 @@ def test_conjugated_apply_exact_vector_matches_components():
     g = make_grid(2, 16, 8.0)
     op = MultiplierOperator(make_named_symbol("riesz", {"j": 1}, 2), g)
     F = _rand_vector(g, seed=14)
-    for R in c4_rotations():
+    for R in lattice_group(2):
         out = conjugated_apply(op, R, F)
         assert out.q == F.q
         stacked = np.stack([conjugated_apply(op, R, c).values for c in _components(F)], axis=-1)
@@ -161,7 +160,7 @@ def test_conjugated_apply_octahedral():
     phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 2.0, 3.0])}, 3)
     op = MultiplierOperator(phi, g)
     f = _rand_f(g, 8)
-    for R in octahedral_rotations():
+    for R in lattice_group(3):
         lhs = conjugated_apply(op, R, f)
         rhs = apply(MultiplierOperator(rotated_symbol(sample_symbol(phi, g), R.inverse()), g), f)
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
@@ -182,7 +181,7 @@ def test_average_conjugated_c4_monomial():
     phi = make_named_symbol("monomial", {"alpha": (2, 0)}, 2)
     op = MultiplierOperator(phi, g)
     f = _rand_f(g, 10)
-    out = average_conjugated(op, subgroup_quadrature(c4_rotations()), f)
+    out = average_conjugated(op, subgroup_quadrature(lattice_group(2)), f)
     XI = g.frequency_mesh()
     sym = 0.5 * (XI[..., 0] ** 2 + XI[..., 1] ** 2)
     ref = np.fft.ifftn(sym * np.fft.fftn(f.values))
@@ -203,7 +202,7 @@ def test_interp_average_converges_to_projection_with_box_size():
         X = g.space_mesh()
         f = GridFunction(g, np.exp(-np.sum(X**2, axis=-1) / 8.0) + 0j)
         q = average_conjugated(op, so_quadrature(2, 64), f, mode="interp")
-        pop = MultiplierOperator(project(phi, 2, default_radii(g), sphere_quadrature(2, 256)), g)
+        pop = MultiplierOperator(project(phi, default_radii(g), sphere_quadrature(2, 256)), g)
         p = apply(pop, f)
         errs.append(lp_norm(GridFunction(g, q.values - p.values), 2.0) / lp_norm(p, 2.0))
     assert errs[1] < errs[0] / 10.0

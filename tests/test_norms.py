@@ -220,7 +220,7 @@ def test_stacked_power_iteration_is_bitwise_the_trial_loop(p, trials):
     g = make_grid(2, 16, 8.0)
     sq = sphere_quadrature(2, 64)
     for label, phi in reference_catalog(2):
-        projected = project(phi, 2, default_radii(g), sq)
+        projected = project(phi, default_radii(g), sq)
         for symbol in (phi, projected):
             op = MultiplierOperator(symbol, g)
             for seed in (0, 5):

@@ -75,9 +75,9 @@ def test_default_radii_cover_lattice():
 def test_project_heat_fixed_point():
     g = make_grid(2, 32, 8.0)
     phi = make_named_symbol("heat", {"t": 1.0}, 2)
-    proj = project(phi, 2, default_radii(g), SQ256)
-    radii = proj.profile.radii
-    assert np.max(np.abs(proj.profile.values - np.exp(-(radii**2)))) <= 1e-14
+    proj = project(phi, default_radii(g), SQ256)
+    radii = proj.radii
+    assert np.max(np.abs(proj.values - np.exp(-(radii**2)))) <= 1e-14
     XI = g.frequency_mesh()
     dev = np.abs(proj.evaluate(XI) - phi.evaluate(XI))
     assert np.max(dev) <= 1e-12
@@ -86,8 +86,8 @@ def test_project_heat_fixed_point():
 def test_project_riesz_zero():
     g = make_grid(2, 32, 8.0)
     phi = make_named_symbol("riesz", {"j": 1}, 2)
-    proj = project(phi, 2, default_radii(g), sphere_quadrature(2, 64))
-    assert np.max(np.abs(proj.profile.values)) <= 1e-15
+    proj = project(phi, default_radii(g), sphere_quadrature(2, 64))
+    assert np.max(np.abs(proj.values)) <= 1e-15
 
 
 def test_project_linearity():
@@ -103,10 +103,10 @@ def test_project_linearity():
         def evaluate(self, pts):
             return a * phi.evaluate(pts) + b * psi.evaluate(pts)
 
-    combo = project(_Lin(), 2, radii, SQ256)
-    pa = project(phi, 2, radii, SQ256)
-    pb = project(psi, 2, radii, SQ256)
-    dev = combo.profile.values - (a * pa.profile.values + b * pb.profile.values)
+    combo = project(_Lin(), radii, SQ256)
+    pa = project(phi, radii, SQ256)
+    pb = project(psi, radii, SQ256)
+    dev = combo.values - (a * pa.values + b * pb.values)
     assert np.max(np.abs(dev)) <= 1e-12
 
 
@@ -114,9 +114,9 @@ def test_project_idempotent():
     g = make_grid(2, 32, 8.0)
     phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2)
     radii = default_radii(g)
-    p1 = project(phi, 2, radii, SQ256)
-    p2 = project(p1, 2, radii, SQ256)
-    assert np.max(np.abs(p2.profile.values - p1.profile.values)) <= 1e-10
+    p1 = project(phi, radii, SQ256)
+    p2 = project(p1, radii, SQ256)
+    assert np.max(np.abs(p2.values - p1.values)) <= 1e-10
 
 
 def test_project_mc_single_node_is_sampling():
@@ -139,7 +139,7 @@ def test_two_path_agreement():
     g = make_grid(2, 32, 8.0)
     phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2)
     mc = project_mc(phi, g, so_quadrature(2, 256))
-    proj = sample_symbol(project(phi, 2, default_radii(g), sphere_quadrature(2, 256)), g)
+    proj = sample_symbol(project(phi, default_radii(g), sphere_quadrature(2, 256)), g)
     assert np.max(np.abs(mc.values - proj.values)) <= 1e-10
 
 
@@ -152,7 +152,7 @@ def test_radial_deviation_examples():
     riesz = make_named_symbol("riesz", {"j": 1}, 2)
     assert radial_deviation(riesz, g, sphere_quadrature(2, 64)) >= 0.5
     box = make_named_symbol("box_indicator", {"a": 1.0}, 2)
-    proj = project(box, 2, default_radii(g), sphere_quadrature(2, 4096))
+    proj = project(box, default_radii(g), sphere_quadrature(2, 4096))
     assert radial_deviation(proj, g, sphere_quadrature(2, 4096)) <= 1e-12
 
 
@@ -203,7 +203,7 @@ def test_project_means_are_bitwise_the_one_radius_means(n, N, L, order):
         make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0, 2.0][:n])}, n),
         make_named_symbol("box_indicator", {"a": 1.0}, n),
     ):
-        values = project(phi, n, radii, sq).profile.values
+        values = project(phi, radii, sq).values
         for k in range(0, len(radii), 7):
             assert values[k] == spherical_mean(phi, radii[k], sq)
 
@@ -213,7 +213,7 @@ def test_sphere_means_reject_negative_radius():
     with pytest.raises(ValueError):
         spherical_mean(phi, -1.0, SQ256)
     with pytest.raises(ValueError):
-        project(phi, 2, np.array([0.0, -1.0]), SQ256)
+        project(phi, np.array([0.0, -1.0]), SQ256)
 
 
 def test_project_output_rotation_invariant():
@@ -221,9 +221,17 @@ def test_project_output_rotation_invariant():
 
     g = make_grid(2, 32, 8.0)
     phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2)
-    proj = project(phi, 2, default_radii(g), SQ256)
+    proj = project(phi, default_radii(g), SQ256)
     rng = np.random.default_rng(7)
     for _ in range(20):
         R = haar_rotation(2, rng)
         xi = rng.standard_normal(2) * 3.0
         assert abs(eval_symbol(proj, R.M @ xi) - eval_symbol(proj, xi)) <= 1e-12
+
+
+def test_project_takes_its_dimension_from_the_symbol():
+    phi = make_named_symbol("heat", {"t": 1.0}, 3)
+    radii = np.array([0.0, 1.0, 2.0])
+    assert project(phi, radii, sphere_quadrature(3, 8)).n == 3
+    with pytest.raises(ValueError):
+        project(phi, radii, SQ256)  # a 2-D quadrature for a 3-D symbol

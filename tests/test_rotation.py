@@ -6,18 +6,25 @@ import numpy as np
 import pytest
 
 from radialmult import (
+    RadialSymbol,
     Rotation,
-    c4_rotations,
     eval_symbol,
     haar_rotation,
+    lattice_group,
     make_grid,
     make_named_symbol,
-    octahedral_rotations,
     rotated_symbol,
+    sample_symbol,
     so_quadrature,
     sphere_quadrature,
 )
-from radialmult.rotation import _permute_lattice, subgroup_quadrature
+from radialmult.rotation import (
+    _permute_lattice,
+    _rotation_2d,
+    c4_rotations,
+    octahedral_rotations,
+    subgroup_quadrature,
+)
 
 
 def _angle(R):
@@ -156,52 +163,55 @@ def _is_signed_permutation(M):
     )
 
 
+def _key(R):
+    return tuple(np.round(R.M).astype(int).ravel())
+
+
+@pytest.mark.parametrize("n,size", [(1, 1), (2, 4), (3, 24)])
+def test_lattice_group_is_the_rotation_group_of_the_lattice(n, size):
+    group = lattice_group(n)
+    assert len(group) == size
+    assert all(_is_signed_permutation(R.M) and round(np.linalg.det(R.M)) == 1 for R in group)
+    keys = {_key(R) for R in group}
+    assert len(keys) == size
+    for A in group:
+        assert _key(A.inverse()) in keys
+        for B in group:
+            assert _key(Rotation(n, A.M @ B.M)) in keys
+
+
 def test_c4_group():
-    rots = c4_rotations()
-    assert len(rots) == 4
-    assert all(_is_signed_permutation(R.M) for R in rots)
+    # lattice_group(2) runs through the turns by k * 90 degrees in order; the
+    # benchmark labels its conjugation outputs by that position
+    rots = lattice_group(2)
+    for k, R in enumerate(rots):
+        assert np.array_equal(R.M, np.round(_rotation_2d(k * np.pi / 2.0)))
+    assert [R.M.tolist() for R in c4_rotations()] == [R.M.tolist() for R in rots]
     rq = subgroup_quadrature(rots)
     assert np.allclose(rq.weights, 0.25)
 
 
 def test_octahedral_group():
-    rots = octahedral_rotations()
-    assert len(rots) == 24
-    assert all(_is_signed_permutation(R.M) for R in rots)
-    # closed under composition
-    mats = {tuple(np.round(R.M).astype(int).ravel()) for R in rots}
-    for A in rots[:6]:
-        for B in rots[:6]:
-            assert tuple(np.round(A.M @ B.M).astype(int).ravel()) in mats
+    assert [R.M.tolist() for R in octahedral_rotations()] == [R.M.tolist() for R in lattice_group(3)]
 
 
-def test_rotated_symbol_identity():
-    phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2)
-    rot = rotated_symbol(phi, Rotation(2, np.eye(2)))
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        xi = rng.standard_normal(2)
-        assert eval_symbol(rot, xi) == eval_symbol(phi, xi)
+def test_rotated_symbol_needs_a_lattice_sample():
+    heat = make_named_symbol("heat", {"t": 1.0}, 2)
+    radial = RadialSymbol(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 2)
+    for phi in (heat, radial):
+        with pytest.raises(TypeError):
+            rotated_symbol(phi, Rotation(2, np.eye(2)))
 
 
 def test_rotated_riesz_90deg():
-    phi = make_named_symbol("riesz", {"j": 1}, 2)
+    g = make_grid(2, 8, 8.0)
+    phi = sample_symbol(make_named_symbol("riesz", {"j": 1}, 2), g)
     R = Rotation(2, np.array([[0.0, -1.0], [1.0, 0.0]]))
     rot = rotated_symbol(phi, R)
-    xi = np.array([1.0, 0.0])
-    # eval(rotated, xi) = phi(R xi) = phi((0, 1)) = 0; and at (0, -1): phi(R xi) = phi((1, 0)) = 1
-    assert abs(eval_symbol(rot, xi) - eval_symbol(phi, R.M @ xi)) <= 1e-15
-    assert abs(eval_symbol(rot, (0.0, -1.0)) - 1.0) <= 1e-15
-
-
-def test_rotated_radial_symbol_unchanged():
-    phi = make_named_symbol("heat", {"t": 1.0}, 2)
-    rng = np.random.default_rng(5)
-    R = haar_rotation(2, rng)
-    rot = rotated_symbol(phi, R)
-    for _ in range(10):
-        xi = rng.standard_normal(2) * 3.0
-        assert abs(eval_symbol(rot, xi) - eval_symbol(phi, xi)) <= 1e-12
+    xi = np.array([g.dxi, 0.0])
+    # rot(xi) = phi(R xi) = phi((0, dxi)) = 0; and at (0, -dxi): phi(R xi) = phi((dxi, 0)) = 1
+    assert eval_symbol(rot, xi) == eval_symbol(phi, R.M @ xi) == 0.0
+    assert eval_symbol(rot, (0.0, -g.dxi)) == 1.0
 
 
 def _gather_permutation(values, grid, M):
@@ -229,7 +239,7 @@ def test_permute_lattice_is_bitwise_the_index_gather(n, N):
     mats = list(_signed_permutations(n))
     assert len(mats) == 2**n * {1: 1, 2: 2, 3: 6}[n]
     assert {round(np.linalg.det(M)) for M in mats} == {1, -1}
-    mats += [R.M for R in {2: c4_rotations(), 3: octahedral_rotations()}.get(n, [])]
+    mats += [R.M for R in lattice_group(n)]
     for fiber in ((), (3,), (2, 2)):
         values = rng.standard_normal(g.shape + fiber) + 1j * rng.standard_normal(g.shape + fiber)
         for M in mats:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from radialmult import (
-    RadialProfile,
     RadialSymbol,
     eval_symbol,
     haar_rotation,
@@ -73,8 +72,7 @@ def test_riesz_bounded_by_one():
 
 
 def test_radial_profile_interpolation_and_clamp():
-    prof = RadialProfile(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0], dtype=complex))
-    phi = RadialSymbol(prof, 2)
+    phi = RadialSymbol(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0], dtype=complex), 2)
     # |xi| = 1.5 -> 0.25, |xi| = 3 -> clamp to 0
     assert eval_symbol(phi, (1.5, 0.0)) == pytest.approx(0.25, abs=1e-15)
     assert eval_symbol(phi, (3.0, 0.0)) == 0.0
@@ -83,14 +81,13 @@ def test_radial_profile_interpolation_and_clamp():
 
 def test_radial_profile_validation():
     with pytest.raises(ValueError):
-        RadialProfile(np.array([0.5, 1.0]), np.array([1.0, 0.0], dtype=complex))
+        RadialSymbol(np.array([0.5, 1.0]), np.array([1.0, 0.0], dtype=complex), 2)
     with pytest.raises(ValueError):
-        RadialProfile(np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.5, 0.0], dtype=complex))
+        RadialSymbol(np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.5, 0.0], dtype=complex), 2)
 
 
 def test_radial_symbol_rotation_invariant():
-    prof = RadialProfile(np.array([0.0, 1.0, 2.0, 4.0]), np.array([1.0, 0.7, 0.2, 0.0], dtype=complex))
-    phi = RadialSymbol(prof, 2)
+    phi = RadialSymbol(np.array([0.0, 1.0, 2.0, 4.0]), np.array([1.0, 0.7, 0.2, 0.0], dtype=complex), 2)
     rng = np.random.default_rng(21)
     for _ in range(10):
         R = haar_rotation(2, rng)
