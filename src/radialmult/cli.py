@@ -118,21 +118,13 @@ def cmd_radialize(cfg: argparse.Namespace) -> int:
 def cmd_norms(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi, order = _symbol_and_order(cfg)
-    report = contraction_report(
-        phi, grid, cfg.p_list, order, symbol_label=cfg.symbol, seed=cfg.seed
-    )
+    proj = project(phi, default_radii(grid), sphere_quadrature(cfg.n, order))
+    report = contraction_report(phi, proj, grid, cfg.p_list, seed=cfg.seed)
     rows = [
-        [
-            cfg.symbol,
-            "any" if r["p"] is None else ("inf" if np.isinf(r["p"]) else _fmt(float(r["p"]))),
-            r["target"],
-            r["method"],
-            r["kind"],
-            float(r["value"]),
-            r["iters"],
-            "-" if r["seed"] is None else r["seed"],
-        ]
-        for r in report.rows
+        [cfg.symbol, "any" if est.p is None else ("inf" if np.isinf(est.p) else _fmt(est.p)),
+         target, est.method, est.kind, est.value, est.iterations,
+         "-" if est.seed is None else est.seed]
+        for target, est in report.rows
     ]
     _write_csv(
         os.path.join(cfg.out, "norms.csv"),

@@ -177,9 +177,13 @@ def transform(f: GridFunction, direction: str) -> GridFunction:
     if direction == "inverse":
         if f.domain != "frequency":
             raise ValueError("inverse transform expects a frequency-domain function")
-        out = np.fft.ifftn(f.values, axes=axes) * (grid.N**grid.n / grid.L**grid.n)
-        return replace(f, values=out, domain="space")
+        return replace(f, values=_inverse_dft(f.values, grid, axes), domain="space")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+
+
+def _inverse_dft(values: np.ndarray, grid: FrequencyGrid, axes=None) -> np.ndarray:
+    """L^-n times the inverse DFT sum over the grid axes (all axes by default)."""
+    return np.fft.ifftn(values, axes=axes) * (grid.N**grid.n / grid.L**grid.n)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, GridFunction
+from .grid import FrequencyGrid, GridFunction, _inverse_dft
 from .rotation import Rotation, RotationQuadrature, _permute_lattice
 from .symbols import Symbol, sample_symbol
 
@@ -135,8 +135,9 @@ def average_conjugated(
 
 def kernel(op: MultiplierOperator) -> GridFunction:
     """Convolution kernel K = F^-1 phi; apply() is periodic convolution with K."""
-    values = np.fft.ifftn(op.sampled) * (op.grid.N**op.grid.n / op.grid.L**op.grid.n)
-    return GridFunction(op.grid, values, domain="space")
+    # the grid's inverse DFT, not the public `transform`: the benchmark's
+    # tracer counts this FFT in the multiplier layer
+    return GridFunction(op.grid, _inverse_dft(op.sampled, op.grid), domain="space")
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,8 @@ def positivity_report(op: MultiplierOperator, tol: float = 1e-10) -> PositivityR
     kernel, and silently dropping the imaginary part would mask symbol
     asymmetry bugs.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     K = kernel(op).values
     min_kernel = float(np.min(K.real))
     max_imag = float(np.max(np.abs(K.imag)))

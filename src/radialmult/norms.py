@@ -9,6 +9,9 @@ at once (Young's inequality).  Its random restarts run as one stack,
 each step transforming every live trial in one FFT pair; per-trial
 norms are rooted on numpy scalars so that every trial reproduces, bit
 for bit, the run it would make alone.
+
+`contraction_report` tabulates them for a symbol and its rotation
+average, which the caller computes: this layer only computes norms.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ import numpy as np
 
 from .grid import FrequencyGrid, lp_norm
 from .multiplier import MultiplierOperator, _multiply, kernel, positivity_report
-from .radialize import default_radii, project
-from .rotation import sphere_quadrature
-from .symbols import Symbol, eval_symbol
+from .symbols import Symbol
 
 __all__ = [
     "NormEstimate",
@@ -45,12 +46,11 @@ class NormEstimate:
     p: float | None  # None marks a p-independent bound
     method: str
     iterations: int = 0
-    trials: int = 0
     seed: int | None = None
     history: tuple = ()
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:  # NaN fails too
             raise ValueError("norm estimate must be nonnegative")
         if self.kind not in ("exact", "lower-bound", "upper-bound"):
             raise ValueError(f"unknown estimate kind {self.kind!r}")
@@ -187,7 +187,6 @@ def norm_lower_power(
         p=p,
         method="power-iteration",
         iterations=best_iters,
-        trials=trials,
         seed=seed,
         history=best_history,
     )
@@ -197,13 +196,12 @@ def norm_lower_power(
 class ContractionReport:
     """Norm table for a symbol and its rotation average, with assertion flags.
 
-    `rows` are dicts with keys target/p/method/kind/value/iters/seed.
-    `flags` hold the hard pass/fail checks; `soft` records lower-bound
-    comparisons that are informational only (two lower bounds do not
-    order the true norms).
+    `rows` are (target, NormEstimate) pairs: per target the p-independent
+    kernel bound, then each p in turn.  `flags` hold the hard pass/fail
+    checks; `soft` records lower-bound comparisons that are informational
+    only (two lower bounds do not order the true norms).
     """
 
-    symbol: str
     rows: tuple
     flags: dict
     soft: dict
@@ -211,75 +209,36 @@ class ContractionReport:
 
 def contraction_report(
     phi: Symbol,
+    pphi: Symbol,
     grid: FrequencyGrid,
     p_list: tuple[float, ...],
-    sphere_order: int,
-    symbol_label: str = "symbol",
-    trials: int = DEFAULT_TRIALS,
-    iters: int = DEFAULT_ITERS,
     seed: int | None = 0,
 ) -> ContractionReport:
-    """Compare norm estimates of M_phi against those of the radialized symbol."""
-    n = grid.n
-    pphi = project(phi, default_radii(grid), sphere_quadrature(n, sphere_order))
+    """Compare norm estimates of M_phi against those of M_pphi, its rotation average."""
     ops = {"original": MultiplierOperator(phi, grid), "radialized": MultiplierOperator(pphi, grid)}
-
     rows = []
-    estimates: dict[tuple[str, float, str], NormEstimate] = {}
-
-    def add(target: str, est: NormEstimate):
-        estimates[(target, est.p, est.kind)] = est
-        rows.append(
-            {
-                "target": target,
-                "p": est.p,
-                "method": est.method,
-                "kind": est.kind,
-                "value": est.value,
-                "iters": est.iterations,
-                "seed": est.seed,
-            }
-        )
-
     for target, op in ops.items():
-        add(target, norm_upper_kernel(op))
+        rows.append((target, norm_upper_kernel(op)))
         for p in p_list:
             if p in (1.0, float("inf")):
-                add(target, norm_upper_kernel(op, p=p))
-            else:
-                if p == 2.0:
-                    add(target, norm_p2_exact(op))
-                add(
-                    target,
-                    norm_lower_power(op, p, trials=trials, iters=iters, seed=seed),
-                )
-
-    sup_orig = float(np.max(np.abs(ops["original"].sampled)))
-    sup_proj = float(np.max(np.abs(ops["radialized"].sampled)))
-    upper_orig = estimates[("original", None, "upper-bound")].value
-    upper_proj = estimates[("radialized", None, "upper-bound")].value
-
-    flags = {"p2_sup_contraction": sup_proj <= sup_orig + 1e-12}
-    lower_ok = True
-    for p in p_list:
-        key = ("radialized", p, "lower-bound")
-        if key in estimates and estimates[key].value > upper_orig * (1.0 + 1e-9):
-            lower_ok = False
-    flags["lower_le_upper"] = lower_ok
-
-    soft = {}
-    for p in p_list:
-        ko = ("original", p, "lower-bound")
-        kp = ("radialized", p, "lower-bound")
-        if ko in estimates and kp in estimates:
-            soft[f"lower_radialized_le_lower_original_p{p}"] = (
-                estimates[kp].value <= estimates[ko].value + 1e-9
-            )
-
+                rows.append((target, norm_upper_kernel(op, p=p)))
+                continue
+            if p == 2.0:
+                rows.append((target, norm_p2_exact(op)))
+            rows.append((target, norm_lower_power(op, p, seed=seed)))
+    upper = {target: est.value for target, est in rows if est.p is None}
+    lower = {(target, est.p): est.value for target, est in rows if est.kind == "lower-bound"}
+    powers = [p for target, p in lower if target == "original"]
+    sup = {target: norm_p2_exact(op).value for target, op in ops.items()}
+    flags = {
+        "p2_sup_contraction": sup["radialized"] <= sup["original"] + 1e-12,
+        "lower_le_upper": all(lower["radialized", p] <= upper["original"] * (1.0 + 1e-9)
+                              for p in powers),
+    }
+    soft = {f"lower_radialized_le_lower_original_p{p}":
+            lower["radialized", p] <= lower["original", p] + 1e-9 for p in powers}
     if positivity_report(ops["original"]).verdict == "positive":
-        phi0 = abs(eval_symbol(phi, np.zeros(n)))
-        flags["positive_norm_equality"] = (
-            abs(upper_orig - phi0) <= 1e-6 and abs(upper_proj - phi0) <= 1e-6
-        )
+        phi0 = abs(ops["original"].sampled.flat[0])  # storage index 0 holds xi = 0
+        flags["positive_norm_equality"] = all(abs(upper[t] - phi0) <= 1e-6 for t in ops)
 
-    return ContractionReport(symbol=symbol_label, rows=tuple(rows), flags=flags, soft=soft)
+    return ContractionReport(rows=tuple(rows), flags=flags, soft=soft)

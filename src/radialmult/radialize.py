@@ -72,7 +72,7 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     if phi.n != sq.n:
         raise ValueError("symbol and quadrature dimension mismatch")
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii < 0):
+    if not np.all(radii >= 0):  # NaN fails too
         raise ValueError(f"radii must be nonnegative, got {radii.min()}")
     means = np.empty(radii.shape, dtype=complex)
     origin = radii == 0.0

@@ -51,9 +51,9 @@ class Rotation:
         M = np.asarray(self.M, dtype=float)
         if M.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n}x{self.n}, got {M.shape}")
-        if np.max(np.abs(M.T @ M - np.eye(self.n))) > ORTHO_TOL:
+        if not np.max(np.abs(M.T @ M - np.eye(self.n))) <= ORTHO_TOL:  # NaN fails too
             raise ValueError("matrix is not orthogonal within tolerance")
-        if abs(np.linalg.det(M) - 1.0) > ORTHO_TOL:
+        if not abs(np.linalg.det(M) - 1.0) <= ORTHO_TOL:
             raise ValueError("matrix must have determinant +1")
         object.__setattr__(self, "M", M)
 
@@ -72,9 +72,9 @@ class RotationQuadrature:
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (len(self.rotations),):
             raise ValueError("weights must match rotation count")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):  # NaN fails too
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-14:
+        if not abs(weights.sum() - 1.0) <= 1e-14:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rotations", tuple(self.rotations))
@@ -93,9 +93,9 @@ class SphereQuadrature:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != self.n:
             raise ValueError(f"nodes must have shape (m, {self.n})")
-        if np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) > 1e-12:
+        if not np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-12:  # NaN fails too
             raise ValueError("nodes must be unit vectors")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-14:
+        if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-14):
             raise ValueError("weights must be positive and sum to 1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

@@ -348,6 +348,8 @@ def parse_symbol_spec(spec: str, n: int) -> NamedSymbol:
                 kv[key.strip()] = float(val)
             except ValueError:
                 raise SymbolSpecError(spec, pos + len(key) + 1, f"bad number {val!r}") from None
+            if not np.isfinite(kv[key.strip()]):
+                raise SymbolSpecError(spec, pos + len(key) + 1, f"value {val!r} is not finite")
             pos += len(item) + 1
     name = _CLI_NAMES[head]
     try:

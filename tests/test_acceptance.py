@@ -54,3 +54,11 @@ def test_criterion(results, criterion):
 def test_runtime_budget(results):
     # the reference configuration must verify in well under a minute
     assert results[1] < 60.0
+
+
+def test_every_check_runs_at_n1():
+    out = run_all(VerifyConfig(n=1, N=32, L=8.0))
+    assert [r.criterion for r in out] == CRITERION_NAMES
+    # the n = 1 sphere rule {+-1} is exact, so check 10's strictly
+    # decreasing error sequence (all zeros) cannot hold there yet
+    assert {r.criterion for r in out if not r.passed} <= {"10-quadrature-convergence"}

@@ -108,6 +108,8 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["radialize", "--out", str(tmp_path)]) == 2  # missing --symbol
     assert main(["radialize", "--symbol", "heat:t=1", "--grid", "15", "--out", str(tmp_path)]) == 2
     assert main(["norms", "--symbol", "heat:t=abc", "--out", str(tmp_path)]) == 2
+    for spec in ("modulation:a1=nan", "const:c=inf"):  # non-finite symbol parameters
+        assert main(["norms", "--symbol", spec, "--out", str(tmp_path)]) == 2
     heat = ["--symbol", "heat:t=1", "--out", str(tmp_path)]
     assert main(["converge", *heat, "--orders", "8,x"]) == 2
     assert main(["converge", *heat, "--orders", "1,8"]) == 2

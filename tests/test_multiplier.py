@@ -22,10 +22,12 @@ from radialmult import (
     sample_symbol,
     so_quadrature,
     sphere_quadrature,
+    transform,
 )
 from radialmult import multiplier as multiplier_module
 from radialmult.radialize import default_radii
 from radialmult.rotation import subgroup_quadrature
+from radialmult.verification import reference_catalog
 
 
 def _rand_f(grid, seed=0, complex_=True):
@@ -228,6 +230,16 @@ def test_kernel_heat_gaussian():
     assert np.max(np.abs(K - oracle)) <= 1e-8
 
 
+def test_kernel_is_the_inverse_transform_of_the_sampled_symbol():
+    # the physical inverse scaling has one definition, the grid's
+    for n, N in ((1, 32), (2, 16), (3, 8)):
+        g = make_grid(n, N, 8.0)
+        for label, phi in reference_catalog(n):
+            op = MultiplierOperator(phi, g)
+            want = transform(GridFunction(g, op.sampled, domain="frequency"), "inverse")
+            assert np.array_equal(kernel(op).values, want.values), label
+
+
 def test_apply_matches_brute_force_convolution():
     # independent O(N^{2n}) oracle written as plain loops
     g = make_grid(2, 8, 4.0)
@@ -264,6 +276,14 @@ def test_positivity_complex_kernel_reason():
     op = MultiplierOperator(make_named_symbol("modulation", {"a": (0.3,)}, 1), g)
     rep = positivity_report(op)
     assert rep.verdict == "not-positive" and rep.reason == "complex-kernel"
+
+
+def test_positivity_rejects_nan_tolerance():
+    g = make_grid(2, 16, 8.0)
+    # a complex, sign-changing kernel that a NaN tolerance used to call positive
+    op = MultiplierOperator(make_named_symbol("modulation", {"a": (0.3, 0.0)}, 2), g)
+    with pytest.raises(ValueError):
+        positivity_report(op, tol=float("nan"))
 
 
 def test_positive_operator_preserves_positive_functions():

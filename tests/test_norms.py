@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from radialmult import (
     MultiplierOperator,
+    NormEstimate,
     contraction_report,
     make_grid,
     make_named_symbol,
@@ -123,39 +124,60 @@ def test_ordering_lower_le_upper():
         assert est2 <= norm_p2_exact(op).value + 1e-12
 
 
+def _report(name, params, g, p_list, order):
+    phi = make_named_symbol(name, params, g.n)
+    pphi = project(phi, default_radii(g), sphere_quadrature(g.n, order))
+    return contraction_report(phi, pphi, g, p_list)
+
+
 def test_contraction_report_heat_fixed_point():
-    g = make_grid(2, 32, 8.0)
-    rep = contraction_report(
-        make_named_symbol("heat", {"t": 1.0}, 2), g, (1.5, 2.0, 4.0), 256, trials=2, iters=50
-    )
+    rep = _report("heat", {"t": 1.0}, make_grid(2, 32, 8.0), (1.5, 2.0, 4.0), 256)
+    assert set(rep.flags) == {"p2_sup_contraction", "lower_le_upper", "positive_norm_equality"}
     assert all(rep.flags.values())
 
 
 def test_contraction_report_riesz():
-    g = make_grid(2, 32, 8.0)
-    rep = contraction_report(
-        make_named_symbol("riesz", {"j": 1}, 2), g, (2.0,), 64, trials=2, iters=50
-    )
+    rep = _report("riesz", {"j": 1}, make_grid(2, 32, 8.0), (2.0,), 64)
     assert rep.flags["p2_sup_contraction"]
     assert rep.flags["lower_le_upper"]
     # Pphi = 0, so every radialized lower bound is ~0
-    rad = [r for r in rep.rows if r["target"] == "radialized" and r["method"] == "power-iteration"]
-    assert rad and all(r["value"] <= 1e-12 for r in rad)
+    rad = [est for target, est in rep.rows
+           if target == "radialized" and est.method == "power-iteration"]
+    assert rad and all(est.value <= 1e-12 for est in rad)
 
 
 def test_contraction_report_rows_schema():
-    g = make_grid(2, 16, 8.0)
-    rep = contraction_report(
-        make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, 2),
-        g,
-        (4.0,),
-        64,
-        trials=2,
-        iters=50,
-    )
-    for row in rep.rows:
-        assert row["target"] in ("original", "radialized")
-        assert set(row) >= {"target", "p", "method", "kind", "value"}
+    rep = _report("gaussian_aniso", {"A": np.diag([1.0, 4.0])}, make_grid(2, 16, 8.0), (4.0,), 64)
+    assert isinstance(rep.rows, tuple) and rep.rows
+    for target, est in rep.rows:
+        assert target in ("original", "radialized")
+        assert isinstance(est, NormEstimate)
+        assert est.seed == (0 if est.method == "power-iteration" else None)
+
+
+def test_contraction_report_row_order():
+    # per target: the p-independent kernel row, then the rows in p order,
+    # the exact p = 2 row before its power row
+    rep = _report("heat", {"t": 1.0}, make_grid(2, 8, 4.0), (1.0, 2.0, np.inf, 1.5), 64)
+    table = [(target, est.p, est.method) for target, est in rep.rows]
+    per_target = [
+        (None, "kernel-l1"),
+        (1.0, "kernel-l1"),
+        (2.0, "plancherel-sup"),
+        (2.0, "power-iteration"),
+        (np.inf, "kernel-l1"),
+        (1.5, "power-iteration"),
+    ]
+    assert table == [(t, p, m) for t in ("original", "radialized") for p, m in per_target]
+    # the p = 2 sup flag reads the exact row
+    sup = {target: est.value for target, est in rep.rows if est.method == "plancherel-sup"}
+    assert rep.flags["p2_sup_contraction"] == (sup["radialized"] <= sup["original"] + 1e-12)
+
+
+def test_norm_estimate_rejects_negative_and_nan_values():
+    for value in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            NormEstimate(value=value, kind="exact", p=2.0, method="plancherel-sup")
 
 
 def _power_one_trial_at_a_time(op, p, trials, iters, seed):

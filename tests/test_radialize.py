@@ -210,8 +210,9 @@ def test_project_means_are_bitwise_the_one_radius_means(n, N, L, order):
 
 def test_sphere_means_reject_negative_radius():
     phi = make_named_symbol("heat", {"t": 1.0}, 2)
-    with pytest.raises(ValueError):
-        spherical_mean(phi, -1.0, SQ256)
+    for r in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            spherical_mean(phi, r, SQ256)
     with pytest.raises(ValueError):
         project(phi, np.array([0.0, -1.0]), SQ256)
 

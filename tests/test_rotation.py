@@ -8,6 +8,8 @@ import pytest
 from radialmult import (
     RadialSymbol,
     Rotation,
+    RotationQuadrature,
+    SphereQuadrature,
     eval_symbol,
     haar_rotation,
     lattice_group,
@@ -36,6 +38,15 @@ def test_rotation_invariants_enforced():
         Rotation(2, np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Rotation(2, np.array([[1.0, 0.0], [0.0, -1.0]]))  # det -1
+    with pytest.raises(ValueError):
+        Rotation(2, np.full((2, 2), np.nan))
+
+
+def test_quadratures_reject_nan():
+    with pytest.raises(ValueError):
+        RotationQuadrature((Rotation(1, np.eye(1)),), np.array([np.nan]))
+    with pytest.raises(ValueError):
+        SphereQuadrature(2, np.array([[1.0, 0.0], [np.nan, 0.0]]), np.array([0.5, 0.5]))
 
 
 def test_haar_so1_is_trivial():

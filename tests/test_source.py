@@ -55,3 +55,16 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used
         ]
     assert not unused, unused
+
+
+def test_norms_layer_imports_neither_radialize_nor_rotation():
+    # the norm table takes the projected symbol from its caller
+    path = Path(radialmult.__file__).parent / "norms.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert not imported & {"radialize", "rotation"}, sorted(imported)
