@@ -2,10 +2,13 @@
 
 Interpolation-mode rotation uses a periodic cubic B-spline: the spline
 coefficients come from an FFT prefilter (division by the B-spline
-frequency response, exact on a periodic grid) and evaluation gathers
-4^n taps per output point.  Fourth-order accuracy is needed to keep the
-rotation-average comparisons inside their stated tolerances; bilinear
-error on desk-scale grids is orders of magnitude too large.
+frequency response, exact on a periodic grid) and evaluation sums 4^n
+weighted taps per output point.  Each axis gets a table of its four
+wrapped tap offsets in the flattened coefficient array, so each of the
+4^n corners is one flat `take` at a sum of table entries.  Fourth-order
+accuracy is needed to keep the rotation-average comparisons inside their
+stated tolerances; bilinear error on desk-scale grids is orders of
+magnitude too large.
 
 Only the n grid axes are filtered and rotated; trailing fiber axes are
 carried, so every component of an X-valued field rotates in one call.
@@ -45,26 +48,49 @@ def _bspline_weights(f: np.ndarray):
     )
 
 
-def _rotate_spline_numpy(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> np.ndarray:
+def _spline_gather(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> np.ndarray:
+    """Evaluate the spline with coefficients `coeffs` at R @ j for every grid index j.
+
+    `taps[axis][off]` is the flat offset of the tap at floor(t) + off - 1
+    along `axis`: that index wrapped mod N, times the axis's flat stride.
+    A corner of the 4^n taps is then one `take` at the sum of its axes'
+    taps.  Corners run with axis 0 fastest, each weight is the
+    left-to-right product over the axes and `out` accumulates in that
+    order.
+    """
     n = R.shape[0]
-    N = coeffs.shape[0]
-    fiber = (1,) * (coeffs.ndim - n)
+    N = len(index_axis)
+    fiber = coeffs.shape[n:]
+    # each coordinate array is freed once used, so that only the weights
+    # and the int32 tap tables live through the corner loop
     J = np.stack(np.meshgrid(*([index_axis] * n), indexing="ij"), axis=0).astype(float)
     t = np.tensordot(R, J, axes=([1], [0]))
-    i0 = np.floor(t).astype(np.int64)
-    frac = t - i0
-    weights = [_bspline_weights(frac[axis]) for axis in range(n)]
+    del J
+    i0 = np.floor(t)
+    weights = [_bspline_weights(frac) for frac in t - i0]
+    del t
+    base = np.mod(i0.astype(np.int32), np.int32(N))
+    del i0
+    offsets = np.arange(4).reshape((4,) + (1,) * n)
+    taps = []
+    for axis in range(n):
+        # wrapped[b + off] = ((b + off - 1) mod N) * stride for b in [0, N)
+        wrapped = np.mod(np.arange(-1, N + 2, dtype=np.int32), N) * np.int32(N ** (n - 1 - axis))
+        taps.append(wrapped[base[axis] + offsets])
+    del base
+    flat = coeffs.reshape((N**n,) + fiber)
     out = np.zeros(coeffs.shape, dtype=complex)
     for corner in range(4**n):
-        w = np.ones(coeffs.shape[:n], dtype=float)
-        idx = []
-        c = corner
-        for axis in range(n):
-            off = c % 4
-            c //= 4
-            w = w * weights[axis][off]
-            idx.append(np.mod(i0[axis] + off - 1, N))
-        out += w.reshape(w.shape + fiber) * coeffs[tuple(idx)]
+        offs = [corner // 4**axis % 4 for axis in range(n)]
+        w = weights[0][offs[0]]
+        idx = taps[0][offs[0]]
+        for axis in range(1, n):
+            w = w * weights[axis][offs[axis]]
+            idx = idx + taps[axis][offs[axis]]
+        # cast first: numpy's mixed real * complex multiply casts the real
+        # operand through a buffer anyway, more slowly
+        w = w.astype(complex).reshape(w.shape + (1,) * len(fiber))
+        out += w * flat.take(idx, axis=0)
     return out
 
 
@@ -73,8 +99,17 @@ def rotate_interp(values: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> 
 
     Rotation acts in index space (the grid spacing cancels), so the
     spline is gathered at fractional signed indices R @ j, wrapped
-    mod N.
+    mod N.  `values` holds N = len(index_axis) points along each of its
+    first n axes, n the order of the square matrix R; trailing fiber axes
+    are carried.
     """
     R = np.ascontiguousarray(R, dtype=float)
-    coeffs = spline_prefilter(values, R.shape[0])
-    return _rotate_spline_numpy(coeffs, R, index_axis)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ValueError(f"rotation must be a square matrix, got shape {R.shape}")
+    n = R.shape[0]
+    grid_shape = (len(index_axis),) * n
+    if values.shape[:n] != grid_shape:
+        raise ValueError(f"values must start with the grid axes {grid_shape}, got {values.shape}")
+    if len(index_axis) ** n >= 2**31:
+        raise ValueError(f"grid of {len(index_axis)}^{n} points exceeds the int32 tap tables")
+    return _spline_gather(spline_prefilter(values, n), R, index_axis)

@@ -1,9 +1,14 @@
-"""Periodic cubic-spline rotation against analytically rotated Gaussians."""
+"""Periodic cubic-spline rotation: against rotated Gaussians, lattice permutations and tap sums."""
+
+import itertools
+import math
 
 import numpy as np
+import pytest
 
-from radialmult import haar_rotation, make_grid
+from radialmult import haar_rotation, lattice_group, make_grid
 from radialmult import _kernels
+from radialmult.rotation import _permute_lattice
 
 
 def _gaussian(x, A):
@@ -41,3 +46,83 @@ def test_rotate_interp_identity_reproduces_samples():
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     out = _kernels.rotate_interp(vals, np.eye(2), g.index_axis())
     assert np.max(np.abs(out - vals)) <= 1e-12
+
+
+def _random_field(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_rotate_interp_rotates_fiber_components_as_scalars():
+    rng = np.random.default_rng(3)
+    for n, N in [(2, 16), (3, 8)]:
+        g = make_grid(n, N, 8.0)
+        R = haar_rotation(n, rng).M
+        F = _random_field(g.shape + (3,), rng)
+        out = _kernels.rotate_interp(F, R, g.index_axis())
+        per_component = [_kernels.rotate_interp(F[..., k], R, g.index_axis()) for k in range(3)]
+        assert np.array_equal(out, np.stack(per_component, axis=-1))
+
+
+def test_rotate_interp_lattice_rotations_match_exact_permutation():
+    # quarter turns and their products land on knots, where the spline
+    # reproduces the samples
+    rng = np.random.default_rng(4)
+    for n, N in [(2, 16), (3, 8)]:
+        g = make_grid(n, N, 8.0)
+        vals = _random_field(g.shape, rng)
+        for R in lattice_group(n)[1:]:
+            out = _kernels.rotate_interp(vals, R.M, g.index_axis())
+            assert np.max(np.abs(out - _permute_lattice(vals, g, R.M))) <= 1e-12
+
+
+def _cubic_bspline(u):
+    """The centered cubic B-spline B3(u), from its piecewise closed form."""
+    u = abs(u)
+    if u < 1.0:
+        return 2.0 / 3.0 - u * u + u**3 / 2.0
+    if u < 2.0:
+        return (2.0 - u) ** 3 / 6.0
+    return 0.0
+
+
+def _spline_at(coeffs, x):
+    """sum over the 4^n knots m near x of B3(x - m) coeffs[m mod N], term by term."""
+    N = coeffs.shape[0]
+    base = [math.floor(xa) - 1 for xa in x]
+    total = 0j
+    for offs in itertools.product(range(4), repeat=len(x)):
+        knot = [b + o for b, o in zip(base, offs)]
+        weight = math.prod(_cubic_bspline(xa - m) for xa, m in zip(x, knot))
+        total += weight * coeffs[tuple(m % N for m in knot)]
+    return total
+
+
+def test_rotate_interp_matches_tap_by_tap_spline_evaluation():
+    rng = np.random.default_rng(5)
+    for n, N in [(2, 16), (3, 8)]:
+        g = make_grid(n, N, 8.0)
+        R = haar_rotation(n, rng).M
+        vals = _random_field(g.shape, rng)
+        out = _kernels.rotate_interp(vals, R, g.index_axis())
+        coeffs = _kernels.spline_prefilter(vals, n)
+        j = g.index_axis()
+        for k in rng.integers(0, N, size=(6, n)):
+            want = _spline_at(coeffs, R @ j[k].astype(float))
+            assert abs(out[tuple(k)] - want) <= 1e-13
+
+
+def test_rotate_interp_rejects_mismatched_shapes():
+    g = make_grid(2, 16, 8.0)
+    vals = np.zeros(g.shape, dtype=complex)
+    with pytest.raises(ValueError, match="grid axes"):
+        _kernels.rotate_interp(vals[:, :15], np.eye(2), g.index_axis())
+    with pytest.raises(ValueError, match="grid axes"):
+        _kernels.rotate_interp(vals, np.eye(2), g.index_axis()[:8])
+    with pytest.raises(ValueError, match="grid axes"):
+        _kernels.rotate_interp(vals, np.eye(3), g.index_axis())
+    with pytest.raises(ValueError, match="square"):
+        _kernels.rotate_interp(vals, np.eye(2, 3), g.index_axis())
+    # a zero-stride view: the shape of a 2048^3 grid without its memory
+    huge = np.broadcast_to(np.complex128(0), (2048,) * 3)
+    with pytest.raises(ValueError, match="int32"):
+        _kernels.rotate_interp(huge, np.eye(3), np.arange(-1024, 1024))

@@ -15,6 +15,7 @@ from radialmult import (
     norm_p2_exact,
     norm_upper_kernel,
 )
+from radialmult import multiplier, norms
 from radialmult.multiplier import _multiply
 from radialmult.norms import POWER_RELATIVE_GAIN
 from radialmult.radialize import default_radii, project
@@ -172,6 +173,26 @@ def test_contraction_report_row_order():
     # the p = 2 sup flag reads the exact row
     sup = {target: est.value for target, est in rep.rows if est.method == "plancherel-sup"}
     assert rep.flags["p2_sup_contraction"] == (sup["radialized"] <= sup["original"] + 1e-12)
+
+
+def test_contraction_report_computes_one_kernel_per_operator(monkeypatch):
+    real_kernel = multiplier.kernel
+    calls = []
+
+    def counting_kernel(op):
+        calls.append(op)
+        return real_kernel(op)
+
+    monkeypatch.setattr(multiplier, "kernel", counting_kernel)
+    monkeypatch.setattr(norms, "kernel", counting_kernel)
+    g = make_grid(2, 8, 4.0)
+    rep = _report("heat", {"t": 1.0}, g, (1.0, 1.5, 2.0, 4.0, np.inf), 64)
+    # the mass row of each target, then positivity_report on the original
+    assert len(calls) == 3
+    ops = {"original": calls[0], "radialized": calls[1]}
+    for target, est in rep.rows:
+        if est.p in (1.0, np.inf):
+            assert est == norm_upper_kernel(ops[target], p=est.p)
 
 
 def test_norm_estimate_rejects_negative_and_nan_values():
