@@ -80,6 +80,7 @@ def _spline_gather(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) ->
     del base
     flat = coeffs.reshape((N**n,) + fiber)
     out = np.zeros(coeffs.shape, dtype=complex)
+    buf = np.empty_like(out)
     for corner in range(4**n):
         offs = [corner // 4**axis % 4 for axis in range(n)]
         w = weights[0][offs[0]]
@@ -90,7 +91,7 @@ def _spline_gather(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) ->
         # cast first: numpy's mixed real * complex multiply casts the real
         # operand through a buffer anyway, more slowly
         w = w.astype(complex).reshape(w.shape + (1,) * len(fiber))
-        out += w * flat.take(idx, axis=0)
+        out += np.multiply(w, flat.take(idx, axis=0, out=buf), out=buf)
     return out
 
 

@@ -95,30 +95,28 @@ def _default_order(phi) -> int:
     return INDICATOR_ORDER if phi.kink else SMOOTH_ORDER
 
 
-def _symbol_and_order(cfg: argparse.Namespace):
+def _projection(cfg: argparse.Namespace):
+    """Grid, symbol, sphere-quadrature order and the symbol's projection on the lattice radii."""
+    grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi = parse_symbol_spec(cfg.symbol, cfg.n)
-    return phi, cfg.order if cfg.order is not None else _default_order(phi)
+    order = cfg.order if cfg.order is not None else _default_order(phi)
+    return grid, phi, order, project(phi, default_radii(grid), sphere_quadrature(cfg.n, order))
 
 
 def cmd_radialize(cfg: argparse.Namespace) -> int:
-    grid = make_grid(cfg.n, cfg.N, cfg.L)
-    phi, order = _symbol_and_order(cfg)
-    sq = sphere_quadrature(cfg.n, order)
-    proj = project(phi, default_radii(grid), sq)
+    grid, phi, order, proj = _projection(cfg)
     _write_profile(os.path.join(cfg.out, "profile.csv"), cfg, proj)
-    dev_sq = sphere_quadrature(cfg.n, min(order, 64))
+    reproj = project(proj, proj.radii, sphere_quadrature(cfg.n, min(order, 64)))
     stats = {
-        "deviation_original": radial_deviation(phi, grid, sq),
-        "deviation_radialized": radial_deviation(proj, grid, dev_sq),
+        "deviation_original": radial_deviation(phi, proj, grid),
+        "deviation_radialized": radial_deviation(proj, reproj, grid),
     }
     _write_json(os.path.join(cfg.out, "deviation.json"), cfg, stats)
     return 0
 
 
 def cmd_norms(cfg: argparse.Namespace) -> int:
-    grid = make_grid(cfg.n, cfg.N, cfg.L)
-    phi, order = _symbol_and_order(cfg)
-    proj = project(phi, default_radii(grid), sphere_quadrature(cfg.n, order))
+    grid, phi, _, proj = _projection(cfg)
     report = contraction_report(phi, proj, grid, cfg.p_list, seed=cfg.seed)
     rows = [
         [cfg.symbol, "any" if est.p is None else ("inf" if np.isinf(est.p) else _fmt(est.p)),
@@ -139,10 +137,8 @@ def cmd_norms(cfg: argparse.Namespace) -> int:
 
 
 def cmd_positivity(cfg: argparse.Namespace) -> int:
-    grid = make_grid(cfg.n, cfg.N, cfg.L)
-    phi, order = _symbol_and_order(cfg)
+    grid, phi, _, proj = _projection(cfg)
     tol = float(cfg.tol.get("positivity", 1e-10))
-    proj = project(phi, default_radii(grid), sphere_quadrature(cfg.n, order))
     rep_orig = positivity_report(MultiplierOperator(phi, grid), tol=tol)
     rep_proj = positivity_report(MultiplierOperator(proj, grid), tol=tol)
     _write_json(

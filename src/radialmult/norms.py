@@ -63,15 +63,14 @@ def norm_p2_exact(op: MultiplierOperator) -> NormEstimate:
     )
 
 
-def norm_upper_kernel(op: MultiplierOperator, p: float | None = None) -> NormEstimate:
+def norm_upper_kernel(op: MultiplierOperator) -> NormEstimate:
     """Kernel l^1 mass: an upper bound for every p, exact at p in {1, inf}.
 
     For a nonnegative kernel the mass equals phi(0), which is the exact
     norm for all p.
     """
     value = lp_norm(kernel(op), 1.0)
-    kind = "exact" if p in (1.0, float("inf")) else "upper-bound"
-    return NormEstimate(value=value, kind=kind, p=p, method="kernel-l1")
+    return NormEstimate(value=value, kind="upper-bound", p=None, method="kernel-l1")
 
 
 def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:

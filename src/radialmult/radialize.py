@@ -7,6 +7,8 @@ Two independent computation paths:
   averaged symbol is the spherical mean profile evaluated at |xi|.
   `project(phi, radii, sq)` returns that profile on the given radii as
   a `RadialSymbol` of phi's dimension; sq must have the same dimension.
+  It evaluates phi over whole radii in batches of bounded size, and
+  `radial_deviation` reads the projection its caller computed.
 * `project_mc` computes the average literally as a weighted sum of
   phi(R_j^-1 xi) over rotation quadrature nodes, on a grid.
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .grid import FrequencyGrid
 from .rotation import RotationQuadrature, SphereQuadrature
-from .symbols import RadialSymbol, SampledSymbol, Symbol, eval_symbol
+from .symbols import RadialSymbol, SampledSymbol, Symbol, eval_symbol, sample_symbol
 
 __all__ = [
     "spherical_mean",
@@ -36,6 +38,8 @@ __all__ = [
 SMOOTH_ORDER = 256
 #: Default sphere-quadrature order for indicator symbols (kinks converge slowly).
 INDICATOR_ORDER = 4096
+#: Largest number of points phi is evaluated at in one sphere-mean batch.
+_SPHERE_BATCH_POINTS = 2**20
 
 
 def default_radii(grid: FrequencyGrid) -> np.ndarray:
@@ -63,10 +67,11 @@ def _require_pointwise(phi: Symbol) -> None:
 def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
     """Average of phi over the sphere of each radius; phi(0) exactly at r = 0.
 
-    All positive radii are evaluated in one batch of radii x nodes points.
-    Each radius's row is then reduced by its own dot product: a
-    matrix-vector product rounds differently from a dot product, which
-    would make a radius's mean depend on how many radii share the call.
+    Positive radii are evaluated in batches of whole radii, at most
+    `_SPHERE_BATCH_POINTS` points each.  Each radius's row is then reduced
+    by its own dot product: a matrix-vector product rounds differently
+    from a dot product, which would make a radius's mean depend on how
+    many radii share the call.
     """
     _require_pointwise(phi)
     if phi.n != sq.n:
@@ -78,12 +83,15 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     origin = radii == 0.0
     if origin.any():
         means[origin] = eval_symbol(phi, np.zeros(phi.n))
-    if not origin.all():
-        vals = phi.evaluate(radii[~origin, None, None] * sq.nodes[None, :, :])  # (K, m)
-        weights = sq.weights.astype(complex)
-        means[~origin] = [np.dot(row, weights) for row in vals]
+    positive = np.flatnonzero(~origin)
+    weights = sq.weights.astype(complex)
+    step = max(1, _SPHERE_BATCH_POINTS // len(sq.weights))
+    for start in range(0, len(positive), step):
+        batch = positive[start:start + step]
+        vals = phi.evaluate(radii[batch, None, None] * sq.nodes[None, :, :])  # (K, m)
+        means[batch] = [np.dot(row, weights) for row in vals]
         # convex-average bound; the mechanism behind contractivity at p = 2
-        if np.any(np.abs(means[~origin]) > np.max(np.abs(vals), axis=1) + 1e-13):
+        if np.any(np.abs(means[batch]) > np.max(np.abs(vals), axis=1) + 1e-13):
             raise ArithmeticError("sphere mean exceeds the largest sampled value")
     return means
 
@@ -95,7 +103,6 @@ def spherical_mean(phi: Symbol, r: float, sq: SphereQuadrature) -> complex:
 
 def project(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> RadialSymbol:
     """Rotation average of phi as a radial symbol with a profile on the given radii."""
-    radii = np.asarray(radii, dtype=float)
     return RadialSymbol(radii, _sphere_means(phi, radii, sq), phi.n)
 
 
@@ -112,13 +119,10 @@ def project_mc(phi: Symbol, grid: FrequencyGrid, rq: RotationQuadrature) -> Samp
     return SampledSymbol(grid=grid, values=acc)
 
 
-def radial_deviation(phi: Symbol, grid: FrequencyGrid, sq: SphereQuadrature) -> float:
-    """Max over the lattice (Nyquist rows excluded) of |phi(xi) - mean(phi; |xi|)|."""
-    _require_pointwise(phi)
-    keep = ~grid.nyquist_mask()
-    phi_vals = phi.evaluate(grid.frequency_mesh()[keep])
-    # one sphere per lattice radius dxi * sqrt(j1^2 + ... + jn^2), as in default_radii
-    j2 = grid.index_axis() ** 2
-    r2, inverse = np.unique(sum(np.ix_(*([j2] * grid.n)))[keep], return_inverse=True)
-    means = _sphere_means(phi, grid.dxi * np.sqrt(r2.astype(float)), sq)
-    return float(np.max(np.abs(phi_vals - means[inverse])))
+def radial_deviation(phi: Symbol, proj: Symbol, grid: FrequencyGrid) -> float:
+    """Max over the lattice (Nyquist rows excluded) of |phi(xi) - proj(xi)|.
+
+    `proj` is phi's projection `project(phi, default_radii(grid), sq)`.
+    """
+    diff = sample_symbol(phi, grid).values - sample_symbol(proj, grid).values
+    return float(np.max(np.abs(diff[~grid.nyquist_mask()])))

@@ -25,7 +25,8 @@ from .multiplier import (
     positivity_report,
 )
 from .norms import norm_lower_power, norm_p2_exact, norm_upper_kernel
-from .radialize import INDICATOR_ORDER, SMOOTH_ORDER, default_radii, project, spherical_mean
+from .radialize import INDICATOR_ORDER, SMOOTH_ORDER, default_radii, project
+from .radialize import radial_deviation, spherical_mean
 from .rotation import (
     haar_rotation,
     lattice_group,
@@ -141,15 +142,13 @@ def check_fixed_point(ctx: _Context) -> CheckResult:
 
 def check_radiality(ctx: _Context) -> CheckResult:
     """P(phi) is radial: lattice deviation and Haar-random rotation invariance."""
-    from .radialize import radial_deviation
-
     details = {}
     ok = True
     sq_cheap = sphere_quadrature(ctx.cfg.n, 8)
     rng = np.random.default_rng(ctx.cfg.seed)
     for label, _ in ctx.catalog:
         proj = ctx.projection(label)
-        dev = radial_deviation(proj, ctx.grid, sq_cheap)
+        dev = radial_deviation(proj, project(proj, ctx.radii, sq_cheap), ctx.grid)
         rot_dev = 0.0
         for _ in range(20):
             R = haar_rotation(ctx.cfg.n, rng)

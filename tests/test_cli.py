@@ -103,6 +103,24 @@ def test_radialize_rerun_byte_identical(tmp_path):
     assert (a / "deviation.json").read_bytes() == (b / "deviation.json").read_bytes()
 
 
+def test_radialize_evaluates_the_sphere_rule_once(tmp_path, monkeypatch):
+    # the deviation reads the projection just written instead of projecting again
+    import radialmult.radialize as radialize
+
+    orders = []
+    original = radialize._sphere_means
+
+    def spy(phi, radii, sq):
+        orders.append(len(sq.weights))
+        return original(phi, radii, sq)
+
+    monkeypatch.setattr(radialize, "_sphere_means", spy)
+    rc = main(["radialize", "--symbol", "boxind:a=1", "--order", "4096", "--grid", "64",
+               "--extent", "16", "--out", str(tmp_path)])
+    assert rc == 0
+    assert orders.count(4096) == 1
+
+
 def test_config_errors_exit_2(tmp_path):
     assert main(["radialize", "--symbol", "nope:t=1", "--out", str(tmp_path)]) == 2
     assert main(["radialize", "--out", str(tmp_path)]) == 2  # missing --symbol

@@ -1,5 +1,7 @@
 """Operator-norm estimation and contraction reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,11 +108,15 @@ def test_upper_kernel_ball_indicator_exceeds_one():
 
 
 def test_upper_kernel_endpoint_kinds():
+    # the mass is a p-independent upper bound; the report marks it exact at p in {1, inf}
     g = make_grid(1, 16, 8.0)
     op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 1), g)
-    assert norm_upper_kernel(op, p=1.0).kind == "exact"
-    assert norm_upper_kernel(op, p=np.inf).kind == "exact"
-    assert norm_upper_kernel(op, p=3.0).kind == "upper-bound"
+    mass = norm_upper_kernel(op)
+    assert (mass.kind, mass.p) == ("upper-bound", None)
+    rep = _report("heat", {"t": 1.0}, g, (1.0, 3.0, np.inf), 8)
+    kernel_rows = [est for target, est in rep.rows
+                   if target == "original" and est.method == "kernel-l1"]
+    assert kernel_rows == [mass, *(replace(mass, kind="exact", p=p) for p in (1.0, np.inf))]
 
 
 def test_ordering_lower_le_upper():
@@ -192,7 +198,7 @@ def test_contraction_report_computes_one_kernel_per_operator(monkeypatch):
     ops = {"original": calls[0], "radialized": calls[1]}
     for target, est in rep.rows:
         if est.p in (1.0, np.inf):
-            assert est == norm_upper_kernel(ops[target], p=est.p)
+            assert est == replace(norm_upper_kernel(ops[target]), kind="exact", p=est.p)
 
 
 def test_norm_estimate_rejects_negative_and_nan_values():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radialmult import (
     eval_symbol,
@@ -143,38 +145,57 @@ def test_two_path_agreement():
     assert np.max(np.abs(mc.values - proj.values)) <= 1e-10
 
 
+def _deviation(phi, g, sq):
+    return radial_deviation(phi, project(phi, default_radii(g), sq), g)
+
+
 def test_radial_deviation_examples():
     g = make_grid(2, 32, 8.0)
     heat = make_named_symbol("heat", {"t": 1.0}, 2)
-    assert radial_deviation(heat, g, SQ256) <= 1e-12
+    assert _deviation(heat, g, SQ256) <= 1e-12
     # at the reference grid each sphere mean rounds as a lone radius would
-    assert radial_deviation(heat, make_grid(2, 64, 16.0), SQ256) < 1e-15
+    assert _deviation(heat, make_grid(2, 64, 16.0), SQ256) < 1e-15
     riesz = make_named_symbol("riesz", {"j": 1}, 2)
-    assert radial_deviation(riesz, g, sphere_quadrature(2, 64)) >= 0.5
+    assert _deviation(riesz, g, sphere_quadrature(2, 64)) >= 0.5
     box = make_named_symbol("box_indicator", {"a": 1.0}, 2)
     proj = project(box, default_radii(g), sphere_quadrature(2, 4096))
-    assert radial_deviation(proj, g, sphere_quadrature(2, 4096)) <= 1e-12
+    assert _deviation(proj, g, sphere_quadrature(2, 4096)) <= 1e-12
 
 
-def test_radial_deviation_matches_per_radius_means():
-    # One batched evaluation over all lattice radii replaces a spherical_mean
-    # call per radius.  The batch takes its radii as dxi * sqrt(j1^2 + ...),
-    # the loop as float norms of the lattice points, so the two may differ in
-    # the last bit.
-    for n, N, L in ((1, 64, 16.0), (2, 32, 8.0), (3, 16, 8.0)):
-        g = make_grid(n, N, L)
-        phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 2.0, 3.0][:n])}, n)
-        sq = sphere_quadrature(n, 64)
-        points = g.frequency_mesh()[~g.nyquist_mask()]
-        radii, inverse = np.unique(np.linalg.norm(points, axis=-1), return_inverse=True)
-        means = np.array([spherical_mean(phi, float(r), sq) for r in radii])
-        loop = float(np.max(np.abs(phi.evaluate(points) - means[inverse])))
-        assert abs(radial_deviation(phi, g, sq) - loop) <= 4 * np.finfo(float).eps
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    N=st.sampled_from([4, 6, 8]),
+    L=st.floats(2.0, 16.0),
+    data=st.data(),
+)
+@example(n=1, N=64, L=16.0, data=None)
+@example(n=2, N=32, L=8.0, data=None)
+@example(n=3, N=16, L=8.0, data=None)
+def test_radial_deviation_matches_per_radius_means(n, N, L, data):
+    # the projection on the lattice radii against one spherical_mean call per
+    # distinct float norm of the lattice points, scattered back point by point
+    if data is None:
+        A = np.diag([1.0, 2.0, 3.0][:n])
+    else:
+        B = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+        A = B.reshape(n, n) @ B.reshape(n, n).T + 0.1 * np.eye(n)
+    g = make_grid(n, N, L)
+    phi = make_named_symbol("gaussian_aniso", {"A": A}, n)
+    sq = sphere_quadrature(n, 64)
+    points = g.frequency_mesh()[~g.nyquist_mask()]
+    radii, inverse = np.unique(np.linalg.norm(points, axis=-1), return_inverse=True)
+    means = np.array([spherical_mean(phi, float(r), sq) for r in radii])
+    loop = float(np.max(np.abs(phi.evaluate(points) - means[inverse])))
+    proj = project(phi, default_radii(g), sq)
+    assert abs(radial_deviation(phi, proj, g) - loop) <= 4 * np.finfo(float).eps
+    # a projection is radial on the lattice: its own projection reproduces it
+    assert _deviation(proj, g, sq) <= 1e-12
 
 
 def test_radial_deviation_one_sphere_per_lattice_radius(monkeypatch):
     # |(3, 4)| = |(5, 0)|: index vectors with the same j1^2 + ... + jn^2 share one
-    # sphere even where their float norms differ in the last bit
+    # sphere of the projection even where their float norms differ in the last bit
     import radialmult.radialize as radialize
 
     counts = []
@@ -188,10 +209,45 @@ def test_radial_deviation_one_sphere_per_lattice_radius(monkeypatch):
     for n, N in ((1, 64), (2, 64), (3, 16)):
         g = make_grid(n, N, 16.0)
         phi = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 2.0, 3.0][:n])}, n)
-        radial_deviation(phi, g, sphere_quadrature(n, 8))
-        j = range(-(N // 2) + 1, N // 2)  # Nyquist rows excluded
+        project(phi, default_radii(g), sphere_quadrature(n, 8))
+        j = range(-(N // 2), N // 2)  # Nyquist rows included
         expected = len({sum(k * k for k in idx) for idx in itertools.product(j, repeat=n)})
-        assert counts.pop() == expected  # 431 at n = 2, N = 64
+        assert counts.pop() == expected  # 457 at n = 2, N = 64
+
+
+def test_sphere_means_are_bitwise_those_of_one_batch(monkeypatch):
+    # sphere means evaluate phi in batches of whole radii under a point budget;
+    # the means do not depend on the batching
+    import radialmult.radialize as radialize
+
+    class Counting:
+        def __init__(self, phi):
+            self.phi, self.n, self.sizes = phi, phi.n, []
+
+        def evaluate(self, points):
+            self.sizes.append(points[..., 0].size)
+            return self.phi.evaluate(points)
+
+    for n in (2, 3):
+        sq = sphere_quadrature(n, 16)
+        m = len(sq.weights)
+        radii = default_radii(make_grid(n, 16, 8.0))
+        for name, params in [
+            ("gaussian_aniso", {"A": np.diag([1.0, 4.0, 2.0][:n])}),
+            ("ball_indicator", {"rho": 1.0}),
+            ("modulation", {"a": (1.0,) + (0.0,) * (n - 1)}),
+            ("bochner_riesz", {"delta": 1.0}),
+        ]:
+            phi = make_named_symbol(name, params, n)
+            whole = project(phi, radii, sq).values
+            for budget in (7 * m, m - 1):
+                monkeypatch.setattr(radialize, "_SPHERE_BATCH_POINTS", budget)
+                spy = Counting(phi)
+                values = project(spy, radii, sq).values
+                assert np.array_equal(values, whole)
+                assert max(spy.sizes) <= max(budget, m)  # at least one radius per batch
+                assert sum(spy.sizes) == 1 + (len(radii) - 1) * m  # the origin, then every sphere
+                monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n,N,L,order", [(2, 32, 8.0, 256), (3, 16, 8.0, 64)])
