@@ -26,7 +26,8 @@ from .multiplier import MultiplierOperator, positivity_report
 from .norms import contraction_report
 from .radialize import (
     INDICATOR_ORDER,
-    SMOOTH_ORDER,
+    RADIALITY_ORDER,
+    default_order,
     default_radii,
     project,
     radial_deviation,
@@ -90,23 +91,18 @@ def _write_profile(path: str, cfg: argparse.Namespace, proj) -> None:
     _write_csv(path, cfg, ["r", "re", "im"], rows)
 
 
-def _default_order(phi) -> int:
-    """Sphere-quadrature order for a catalog symbol: kinked symbols converge slowly."""
-    return INDICATOR_ORDER if phi.kink else SMOOTH_ORDER
-
-
 def _projection(cfg: argparse.Namespace):
-    """Grid, symbol, sphere-quadrature order and the symbol's projection on the lattice radii."""
+    """Grid, symbol and the symbol's projection on the lattice radii."""
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     phi = parse_symbol_spec(cfg.symbol, cfg.n)
-    order = cfg.order if cfg.order is not None else _default_order(phi)
-    return grid, phi, order, project(phi, default_radii(grid), sphere_quadrature(cfg.n, order))
+    sq = sphere_quadrature(cfg.n, cfg.order or default_order(phi))
+    return grid, phi, project(phi, default_radii(grid), sq)
 
 
 def cmd_radialize(cfg: argparse.Namespace) -> int:
-    grid, phi, order, proj = _projection(cfg)
+    grid, phi, proj = _projection(cfg)
     _write_profile(os.path.join(cfg.out, "profile.csv"), cfg, proj)
-    reproj = project(proj, proj.radii, sphere_quadrature(cfg.n, min(order, 64)))
+    reproj = project(proj, proj.radii, sphere_quadrature(cfg.n, RADIALITY_ORDER))
     stats = {
         "deviation_original": radial_deviation(phi, proj, grid),
         "deviation_radialized": radial_deviation(proj, reproj, grid),
@@ -116,7 +112,7 @@ def cmd_radialize(cfg: argparse.Namespace) -> int:
 
 
 def cmd_norms(cfg: argparse.Namespace) -> int:
-    grid, phi, _, proj = _projection(cfg)
+    grid, phi, proj = _projection(cfg)
     report = contraction_report(phi, proj, grid, cfg.p_list, seed=cfg.seed)
     rows = [
         [cfg.symbol, "any" if est.p is None else ("inf" if np.isinf(est.p) else _fmt(est.p)),
@@ -137,10 +133,10 @@ def cmd_norms(cfg: argparse.Namespace) -> int:
 
 
 def cmd_positivity(cfg: argparse.Namespace) -> int:
-    grid, phi, _, proj = _projection(cfg)
-    tol = float(cfg.tol.get("positivity", 1e-10))
-    rep_orig = positivity_report(MultiplierOperator(phi, grid), tol=tol)
-    rep_proj = positivity_report(MultiplierOperator(proj, grid), tol=tol)
+    grid, phi, proj = _projection(cfg)
+    tol = {} if cfg.tol is None else {"tol": cfg.tol}
+    rep_orig = positivity_report(MultiplierOperator(phi, grid), **tol)
+    rep_proj = positivity_report(MultiplierOperator(proj, grid), **tol)
     _write_json(
         os.path.join(cfg.out, "positivity.json"),
         cfg,
@@ -151,7 +147,7 @@ def cmd_positivity(cfg: argparse.Namespace) -> int:
             "min_kernel_radialized": rep_proj.min_kernel,
             "verdict_original": rep_orig.verdict,
             "verdict_radialized": rep_proj.verdict,
-            "tol": tol,
+            "tol": rep_orig.tol,
         },
     )
     return 0
@@ -169,14 +165,8 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    vcfg = VerifyConfig(
-        n=cfg.n,
-        N=cfg.N,
-        L=cfg.L,
-        smooth_order=cfg.order or SMOOTH_ORDER,
-        seed=cfg.seed,
-    )
-    results = run_all(vcfg)
+    orders = {} if cfg.order is None else {"smooth_order": cfg.order}
+    results = run_all(VerifyConfig(n=cfg.n, N=cfg.N, L=cfg.L, seed=cfg.seed, **orders))
     rows = [[r.criterion, "pass" if r.passed else "fail"] for r in results]
     _write_csv(os.path.join(cfg.out, "verify.csv"), cfg, ["criterion", "status"], rows)
     _write_json(
@@ -198,10 +188,11 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_demo(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     radii = default_radii(grid)
+    catalog = reference_catalog(cfg.n)
+    rules = {m: sphere_quadrature(cfg.n, m) for m in {default_order(phi) for _, phi in catalog}}
     summary = []
-    for label, phi in reference_catalog(cfg.n):
-        sq = sphere_quadrature(cfg.n, _default_order(phi))
-        proj = project(phi, radii, sq)
+    for label, phi in catalog:
+        proj = project(phi, radii, rules[default_order(phi)])
         _write_profile(os.path.join(cfg.out, f"profile_{label}.csv"), cfg, proj)
         rep_o = positivity_report(MultiplierOperator(phi, grid))
         rep_p = positivity_report(MultiplierOperator(proj, grid))
@@ -227,7 +218,7 @@ OPTIONS = {
     "order": dict(type=int, default=None, help="sphere quadrature order"),
     "p": dict(default="2", dest="p_list", help="comma list of exponents, e.g. 1.5,2,4,inf"),
     "seed": dict(type=int, default=7),
-    "tol": dict(action="append", default=[], help="override, name=value; name: positivity"),
+    "tol": dict(type=float, default=None, help="positivity tolerance on the kernel"),
     "r": dict(type=float, default=2.0, help="radius of the sphere average"),
     "orders": dict(default="8,16,32,64", help="comma list of orders"),
     "out": dict(default="out", help="output directory"),
@@ -242,18 +233,6 @@ SUBCOMMANDS = {
     "verify": (cmd_verify, ("n", "grid", "extent", "order", "seed")),
     "demo": (cmd_demo, ("n", "grid", "extent")),
 }
-
-
-def _parse_tol(items: list[str]) -> dict:
-    out = {}
-    for item in items:
-        if "=" not in item:
-            raise ValueError(f"expected name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        if name != "positivity":
-            raise ValueError(f"unknown tolerance {name!r}; the only one is positivity")
-        out[name] = float(value)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,19 +260,15 @@ def main(argv: list[str] | None = None) -> int:
         for m in [*opts.get("orders", []), opts.get("order")]:
             if m is not None and m < 2:
                 raise ValueError(f"sphere quadrature order must be >= 2, got {m}")
-        if not 0.0 <= opts.get("r", 0.0) < np.inf:
-            raise ValueError(f"--r must be finite and nonnegative, got {cfg.r}")
+        for name in ("r", "tol"):
+            if opts.get(name) is not None and not 0.0 <= opts[name] < np.inf:
+                raise ValueError(f"--{name} must be finite and nonnegative, got {opts[name]}")
         if "p_list" in opts:
             cfg.p_list = tuple(float("inf") if t.strip() in ("inf", "oo") else float(t)
                                for t in cfg.p_list.split(","))
             for p in cfg.p_list:
                 if not p >= 1:
                     raise ValueError(f"exponents must satisfy p >= 1, got {p}")
-        if "tol" in opts:
-            cfg.tol = _parse_tol(cfg.tol)
-            for name, value in cfg.tol.items():
-                if not value >= 0:
-                    raise ValueError(f"tolerance {name} must be nonnegative, got {value}")
         if opts.get("seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, got {cfg.seed}")
     except ValueError as exc:

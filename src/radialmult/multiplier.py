@@ -157,8 +157,8 @@ def positivity_report(op: MultiplierOperator, tol: float = 1e-10) -> PositivityR
     kernel, and silently dropping the imaginary part would mask symbol
     asymmetry bugs.
     """
-    if not tol >= 0:  # NaN fails too
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    if not 0.0 <= tol < np.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     K = kernel(op).values
     min_kernel = float(np.min(K.real))
     max_imag = float(np.max(np.abs(K.imag)))

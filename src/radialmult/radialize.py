@@ -14,6 +14,7 @@ Two independent computation paths:
 
 The two must agree as the quadrature orders grow; tests cross-validate
 them.  Both reproduce radial inputs exactly and annihilate odd symbols.
+Sphere orders have one policy, `default_order`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .grid import FrequencyGrid
 from .rotation import RotationQuadrature, SphereQuadrature
-from .symbols import RadialSymbol, SampledSymbol, Symbol, eval_symbol, sample_symbol
+from .symbols import NamedSymbol, RadialSymbol, SampledSymbol, Symbol, eval_symbol, sample_symbol
 
 __all__ = [
     "spherical_mean",
@@ -30,14 +31,18 @@ __all__ = [
     "project_mc",
     "radial_deviation",
     "default_radii",
+    "default_order",
     "SMOOTH_ORDER",
     "INDICATOR_ORDER",
+    "RADIALITY_ORDER",
 ]
 
 #: Default sphere-quadrature order for smooth symbols.
 SMOOTH_ORDER = 256
 #: Default sphere-quadrature order for indicator symbols (kinks converge slowly).
 INDICATOR_ORDER = 4096
+#: Order of the rule that re-projects a projection to measure its radiality.
+RADIALITY_ORDER = 8
 #: Largest number of points phi is evaluated at in one sphere-mean batch.
 _SPHERE_BATCH_POINTS = 2**20
 
@@ -57,6 +62,13 @@ def default_radii(grid: FrequencyGrid) -> np.ndarray:
     for _ in range(grid.n):
         r2 = np.unique(r2[:, None] + (j**2)[None, :]).ravel()
     return grid.dxi * np.sqrt(np.unique(r2).astype(float))
+
+
+def default_order(
+    phi: Symbol, smooth: int = SMOOTH_ORDER, indicator: int = INDICATOR_ORDER
+) -> int:
+    """Sphere-quadrature order for phi: `indicator` for kinked catalog symbols, else `smooth`."""
+    return indicator if isinstance(phi, NamedSymbol) and phi.kink else smooth
 
 
 def _require_pointwise(phi: Symbol) -> None:

@@ -160,7 +160,14 @@ def so_quadrature(n: int, m: int) -> RotationQuadrature:
 
 
 def sphere_quadrature(n: int, m: int) -> SphereQuadrature:
-    """Quadrature for the uniform probability measure on S^(n-1)."""
+    """Quadrature for the uniform probability measure on S^(n-1).
+
+    At n = 2, 3 the order m is an exactness degree: the rule integrates
+    every polynomial of degree < m exactly, with m equispaced nodes on
+    S^1 and m^2 nodes on S^2 (m Gauss-Legendre nodes in cos(theta) times
+    m azimuths), so m = 4096 means 16.8M nodes at n = 3.  The n = 1 rule
+    {+1, -1} is the whole of S^0 and ignores m.
+    """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
     if m < 2:

@@ -25,8 +25,8 @@ from .multiplier import (
     positivity_report,
 )
 from .norms import norm_lower_power, norm_p2_exact, norm_upper_kernel
-from .radialize import INDICATOR_ORDER, SMOOTH_ORDER, default_radii, project
-from .radialize import radial_deviation, spherical_mean
+from .radialize import INDICATOR_ORDER, RADIALITY_ORDER, SMOOTH_ORDER, default_order
+from .radialize import default_radii, project, radial_deviation, spherical_mean
 from .rotation import (
     haar_rotation,
     lattice_group,
@@ -83,14 +83,15 @@ class _Context:
         self.cfg = cfg
         self.grid = make_grid(cfg.n, cfg.N, cfg.L)
         self.grid_small = make_grid(cfg.n, 32, cfg.L / 2.0)
-        self.sq_smooth = sphere_quadrature(cfg.n, cfg.smooth_order)
-        self.sq_indicator = sphere_quadrature(cfg.n, cfg.indicator_order)
+        orders = {cfg.smooth_order, cfg.indicator_order}
+        self.rules = {m: sphere_quadrature(cfg.n, m) for m in orders}  # one rule per order
         self.catalog = reference_catalog(cfg.n)
         self.radii = default_radii(self.grid)
         self._proj: dict[tuple, RadialSymbol] = {}
 
     def sq_for(self, label: str):
-        return self.sq_indicator if dict(self.catalog)[label].kink else self.sq_smooth
+        phi = dict(self.catalog)[label]
+        return self.rules[default_order(phi, self.cfg.smooth_order, self.cfg.indicator_order)]
 
     def projection(self, label: str, grid=None) -> RadialSymbol:
         """Projection of a catalog symbol on the lattice radii of `grid` (default: main grid)."""
@@ -144,7 +145,7 @@ def check_radiality(ctx: _Context) -> CheckResult:
     """P(phi) is radial: lattice deviation and Haar-random rotation invariance."""
     details = {}
     ok = True
-    sq_cheap = sphere_quadrature(ctx.cfg.n, 8)
+    sq_cheap = sphere_quadrature(ctx.cfg.n, RADIALITY_ORDER)
     rng = np.random.default_rng(ctx.cfg.seed)
     for label, _ in ctx.catalog:
         proj = ctx.projection(label)
@@ -214,7 +215,7 @@ def check_positivity_preservation(ctx: _Context) -> CheckResult:
     iso = make_named_symbol("gaussian_aniso", {"A": np.eye(ctx.cfg.n)}, ctx.cfg.n)
     cases = [
         ("heat", dict(ctx.catalog)["heat"], ctx.projection("heat")),
-        ("gaussiso", iso, project(iso, ctx.radii, ctx.sq_smooth)),
+        ("gaussiso", iso, project(iso, ctx.radii, ctx.rules[ctx.cfg.smooth_order])),
     ]
     for label, phi, proj in cases:
         op = MultiplierOperator(phi, ctx.grid)
@@ -293,7 +294,7 @@ def check_q_vs_p(ctx: _Context) -> CheckResult:
 def check_quadrature_convergence(ctx: _Context) -> CheckResult:
     """Spherical-mean error decreases with order; indicator profile matches geometry."""
     phi = dict(ctx.catalog)["gaussaniso"]
-    oracle = spherical_mean(phi, 2.0, ctx.sq_indicator)
+    oracle = spherical_mean(phi, 2.0, ctx.rules[ctx.cfg.indicator_order])
     errors = [
         abs(spherical_mean(phi, 2.0, sphere_quadrature(ctx.cfg.n, m)) - oracle)
         for m in (8, 16, 32, 64)

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+import radialmult.verification as verification
 from radialmult.verification import VerifyConfig, run_all
 
 CRITERION_NAMES = [
@@ -54,6 +55,20 @@ def test_criterion(results, criterion):
 def test_runtime_budget(results):
     # the reference configuration must verify in well under a minute
     assert results[1] < 60.0
+
+
+def test_equal_orders_share_one_sphere_rule(monkeypatch):
+    built = []
+    original = verification.sphere_quadrature
+
+    def spy(n, m):
+        built.append(m)
+        return original(n, m)
+
+    monkeypatch.setattr(verification, "sphere_quadrature", spy)
+    ctx = verification._Context(VerifyConfig(N=16, L=8.0, smooth_order=64, indicator_order=64))
+    assert built == [64]
+    assert ctx.sq_for("boxind") is ctx.sq_for("heat")
 
 
 def test_every_check_runs_at_n1():

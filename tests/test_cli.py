@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+import radialmult.cli as cli
 from radialmult.cli import OPTIONS, SUBCOMMANDS, main
+from radialmult.radialize import INDICATOR_ORDER, RADIALITY_ORDER, SMOOTH_ORDER
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -121,6 +123,46 @@ def test_radialize_evaluates_the_sphere_rule_once(tmp_path, monkeypatch):
     assert orders.count(4096) == 1
 
 
+def _spy_sphere_orders(monkeypatch, module):
+    """Record the order of every sphere rule `module` builds."""
+    orders = []
+    original = module.sphere_quadrature
+
+    def spy(n, m):
+        orders.append(m)
+        return original(n, m)
+
+    monkeypatch.setattr(module, "sphere_quadrature", spy)
+    return orders
+
+
+def test_demo_builds_each_sphere_rule_once(tmp_path, monkeypatch):
+    # ballind and boxind share the indicator order, so they share its rule
+    orders = _spy_sphere_orders(monkeypatch, cli)
+    assert main(["demo", "--grid", "16", "--extent", "8", "--out", str(tmp_path)]) == 0
+    assert sorted(orders) == [SMOOTH_ORDER, INDICATOR_ORDER]
+
+
+def test_radialize_builds_the_given_order_and_the_radiality_rule(tmp_path, monkeypatch):
+    orders = _spy_sphere_orders(monkeypatch, cli)
+    assert main(["radialize", "--symbol", "heat:t=1", "--order", "256", "--grid", "16",
+                 "--extent", "8", "--out", str(tmp_path)]) == 0
+    assert sorted(orders) == sorted([256, RADIALITY_ORDER])
+
+
+def test_positivity_tol_is_a_plain_number(tmp_path):
+    # the Riesz kernel changes sign (min -0.22); no finite tolerance hides that here
+    argv = ["positivity", "--symbol", "riesz:j=1", "--grid", "32", "--extent", "8"]
+    assert main([*argv, "--tol", "1e-8", "--out", str(tmp_path / "a")]) == 0
+    doc = json.loads((tmp_path / "a" / "positivity.json").read_text())
+    assert doc["tol"] == 1e-8 and doc["config"]["tol"] == 1e-8
+    assert doc["verdict_original"] == "not-positive"
+    for bad in ("-1", "nan", "inf"):
+        out = tmp_path / bad
+        assert main([*argv, "--tol", bad, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     assert main(["radialize", "--symbol", "nope:t=1", "--out", str(tmp_path)]) == 2
     assert main(["radialize", "--out", str(tmp_path)]) == 2  # missing --symbol
@@ -137,10 +179,14 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["converge", *heat, "--r", "inf"]) == 2
     assert main(["norms", *heat, "--p", "0.5"]) == 2
     assert main(["norms", *heat, "--p", "nan"]) == 2
-    assert main(["positivity", *heat, "--tol", "positivity=-1"]) == 2
+    assert main(["positivity", *heat, "--tol", "-1"]) == 2
+    assert main(["positivity", *heat, "--tol", "nan"]) == 2
+    assert main(["positivity", *heat, "--tol", "inf"]) == 2
     assert main(["norms", *heat, "--seed", "-1"]) == 2
     assert main(["radialize", *heat, "--extent", "inf"]) == 2
-    assert main(["positivity", *heat, "--tol", "positivty=1e-8"]) == 2
+    with pytest.raises(SystemExit) as exc:  # the name=value form is gone; argparse rejects it
+        main(["positivity", *heat, "--tol", "positivity=1e-8"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -182,7 +228,7 @@ def test_csv_embeds_config(tmp_path):
     "argv",
     [
         ["radialize", "--symbol", "heat:t=1", "--seed", "1"],
-        ["norms", "--symbol", "heat:t=1", "--tol", "positivity=1"],
+        ["norms", "--symbol", "heat:t=1", "--tol", "1"],
         ["positivity", "--symbol", "heat:t=1", "--p", "4"],
         ["converge", "--symbol", "heat:t=1", "--grid", "32"],
         ["verify", "--symbol", "heat:t=1"],
@@ -226,8 +272,11 @@ def test_exit_codes_through_module_entry_point(tmp_path):
 
     bad_flag = run("demo", "--order", "8", "--out", str(tmp_path / "demo"))
     assert bad_flag.returncode == 2 and "unrecognized arguments" in bad_flag.stderr
-    bad_tol = run("positivity", "--symbol", "heat:t=1", "--tol", "x=1", "--out", str(tmp_path / "p"))
+    bad_tol = run("positivity", "--symbol", "heat:t=1", "--tol", "inf", "--out", str(tmp_path / "p"))
     assert bad_tol.returncode == 2 and "config error:" in bad_tol.stderr
+    named_tol = run("positivity", "--symbol", "heat:t=1", "--tol", "positivity=1e-8",
+                    "--out", str(tmp_path / "q"))
+    assert named_tol.returncode == 2 and "invalid float value" in named_tol.stderr
     ok = run("converge", "--symbol", "heat:t=1", "--orders", "8,16", "--out", str(tmp_path / "c"))
     assert ok.returncode == 0, ok.stderr
     assert (tmp_path / "c" / "converge.csv").exists()

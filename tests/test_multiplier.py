@@ -286,6 +286,16 @@ def test_positivity_rejects_nan_tolerance():
         positivity_report(op, tol=float("nan"))
 
 
+def test_positivity_rejects_infinite_tolerance():
+    g = make_grid(2, 16, 8.0)
+    # a sign-changing real kernel that an infinite tolerance used to call positive
+    op = MultiplierOperator(make_named_symbol("riesz", {"j": 1}, 2), g)
+    assert positivity_report(op, tol=0.0).verdict == "not-positive"
+    for tol in (float("inf"), -float("inf"), -1e-12):
+        with pytest.raises(ValueError):
+            positivity_report(op, tol=tol)
+
+
 def test_positive_operator_preserves_positive_functions():
     g = make_grid(2, 16, 8.0)
     op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 2), g)

@@ -19,11 +19,27 @@ from radialmult import (
     sphere_quadrature,
     spherical_mean,
 )
-from radialmult.radialize import default_radii
+from radialmult.radialize import INDICATOR_ORDER, SMOOTH_ORDER, default_order, default_radii
 from radialmult.rotation import subgroup_quadrature, Rotation
+from radialmult.symbols import SYMBOL_SPECS
+from radialmult.verification import reference_catalog
 
 
 SQ256 = sphere_quadrature(2, 256)
+
+
+def test_default_order_is_the_indicator_order_exactly_for_kinked_symbols():
+    catalog = reference_catalog(2)
+    assert {phi.name for _, phi in catalog} == set(SYMBOL_SPECS)
+    for _, phi in catalog:
+        kinked = SYMBOL_SPECS[phi.name].kink
+        assert default_order(phi) == (INDICATOR_ORDER if kinked else SMOOTH_ORDER)
+        assert default_order(phi, smooth=3, indicator=5) == (5 if kinked else 3)
+    # samples and projections carry no kink flag, even of a kinked symbol
+    ball = dict(catalog)["ballind"]
+    g = make_grid(2, 8, 4.0)
+    assert default_order(sample_symbol(ball, g), smooth=3, indicator=5) == 3
+    assert default_order(project(ball, default_radii(g), SQ256), smooth=3, indicator=5) == 3
 
 
 def test_spherical_mean_radial_symbol():

@@ -1,6 +1,7 @@
 """Rotations, Haar sampling, and quadrature rules on SO(n) and the sphere."""
 
 from itertools import permutations, product
+from math import gamma, pi
 
 import numpy as np
 import pytest
@@ -126,6 +127,30 @@ def test_quadrature_invariants(n, m):
     rq = so_quadrature(n, m)
     assert abs(np.sum(rq.weights) - 1.0) <= 1e-14
     assert np.all(rq.weights > 0)
+
+
+def _sphere_moment(alpha):
+    """Mean of the monomial x^alpha over S^(n-1) under the uniform probability measure."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    # the surface integral 2 prod G(b_i) / G(sum b_i), b_i = (a_i + 1)/2, over the area
+    beta = [(a + 1) / 2 for a in alpha]
+    n = len(alpha)
+    return np.prod([gamma(b) for b in beta]) / gamma(sum(beta)) * gamma(n / 2) / pi ** (n / 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 16])
+def test_sphere_order_is_the_exactness_degree(n, m):
+    # every monomial of degree < m is integrated exactly; x1^m is not
+    sq = sphere_quadrature(n, m)
+    assert len(sq.weights) == m ** (n - 1)
+    for alpha in product(range(m), repeat=n):
+        if sum(alpha) < m:
+            got = np.sum(sq.weights * np.prod(sq.nodes ** np.array(alpha), axis=1))
+            assert abs(got - _sphere_moment(alpha)) <= 2e-15, alpha
+    top = (m,) + (0,) * (n - 1)
+    assert abs(np.sum(sq.weights * sq.nodes[:, 0] ** m) - _sphere_moment(top)) >= 1e-6
 
 
 def test_sphere_s1_nodes():
