@@ -1,14 +1,14 @@
 """Periodic cubic-spline rotation of grid values (numpy).
 
 Interpolation-mode rotation uses a periodic cubic B-spline: the spline
-coefficients come from an FFT prefilter (division by the B-spline
-frequency response, exact on a periodic grid) and evaluation sums 4^n
-weighted taps per output point.  Each axis gets a table of its four
-wrapped tap offsets in the flattened coefficient array, so each of the
-4^n corners is one flat `take` at a sum of table entries.  Fourth-order
-accuracy is needed to keep the rotation-average comparisons inside their
-stated tolerances; bilinear error on desk-scale grids is orders of
-magnitude too large.
+coefficients come from an FFT prefilter (the Fourier multiplier 1/B,
+B the B-spline frequency response; exact on a periodic grid) and
+evaluation sums 4^n weighted taps per output point.  Each axis gets a
+table of its four wrapped tap offsets in the flattened coefficient
+array, so each of the 4^n corners is one flat `take` at a sum of table
+entries.  Fourth-order accuracy is needed to keep the rotation-average
+comparisons inside their stated tolerances; bilinear error on
+desk-scale grids is orders of magnitude too large.
 
 Only the n grid axes are filtered and rotated; trailing fiber axes are
 carried, so every component of an X-valued field rotates in one call.
@@ -16,7 +16,11 @@ carried, so every component of an X-valued field rotates in one call.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
+
+from .grid import _multiply
 
 #: Always False: there is no compiled backend.  Kept because the
 #: benchmark's machine-facts line reads it.
@@ -24,16 +28,15 @@ USING_NUMBA = False
 
 
 def spline_prefilter(values: np.ndarray, n: int) -> np.ndarray:
-    """Periodic cubic B-spline coefficients via FFT division along the n grid axes."""
-    coeffs = np.asarray(values, dtype=complex)
-    for axis in range(n):
-        N = values.shape[axis]
-        omega = 2.0 * np.pi * np.fft.fftfreq(N)
-        response = (2.0 + np.cos(omega)) / 3.0  # DFT of the centered B3 stencil (1,4,1)/6
-        shape = [1] * values.ndim
-        shape[axis] = N
-        coeffs = np.fft.ifft(np.fft.fft(coeffs, axis=axis) / response.reshape(shape), axis=axis)
-    return coeffs
+    """Periodic cubic B-spline coefficients of `values` over its first n axes.
+
+    Interpolation by the spline is convolution with the sampled B3 stencil
+    (1, 4, 1)/6 per axis, whose DFT is B(omega) = (2 + cos omega)/3 with
+    omega = 2 pi k / N.  The coefficients are therefore the Fourier
+    multiplier 1/(B(omega_1)...B(omega_n)) applied to the values.
+    """
+    inverse = 3.0 / (2.0 + np.cos(2.0 * np.pi * np.fft.fftfreq(values.shape[0])))
+    return _multiply(reduce(np.multiply.outer, [inverse] * n), values)
 
 
 def _bspline_weights(f: np.ndarray):

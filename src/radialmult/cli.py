@@ -25,13 +25,14 @@ from .grid import make_grid
 from .multiplier import MultiplierOperator, positivity_report
 from .norms import contraction_report
 from .radialize import (
+    CONVERGENCE_ORDERS,
     INDICATOR_ORDER,
-    RADIALITY_ORDER,
+    convergence_errors,
     default_order,
     default_radii,
     project,
     radial_deviation,
-    spherical_mean,
+    radiality,
 )
 from .rotation import sphere_quadrature
 from .symbols import parse_symbol_spec
@@ -102,10 +103,9 @@ def _projection(cfg: argparse.Namespace):
 def cmd_radialize(cfg: argparse.Namespace) -> int:
     grid, phi, proj = _projection(cfg)
     _write_profile(os.path.join(cfg.out, "profile.csv"), cfg, proj)
-    reproj = project(proj, proj.radii, sphere_quadrature(cfg.n, RADIALITY_ORDER))
     stats = {
         "deviation_original": radial_deviation(phi, proj, grid),
-        "deviation_radialized": radial_deviation(proj, reproj, grid),
+        "deviation_radialized": radiality(proj, grid),
     }
     _write_json(os.path.join(cfg.out, "deviation.json"), cfg, stats)
     return 0
@@ -155,11 +155,9 @@ def cmd_positivity(cfg: argparse.Namespace) -> int:
 
 def cmd_converge(cfg: argparse.Namespace) -> int:
     phi = parse_symbol_spec(cfg.symbol, cfg.n)
-    oracle = spherical_mean(phi, cfg.r, sphere_quadrature(cfg.n, INDICATOR_ORDER))
-    rows = []
-    for m in cfg.orders:
-        approx = spherical_mean(phi, cfg.r, sphere_quadrature(cfg.n, m))
-        rows.append([m, float(abs(approx - oracle))])
+    oracle = sphere_quadrature(cfg.n, INDICATOR_ORDER)
+    errors = convergence_errors(phi, cfg.r, cfg.orders, oracle)
+    rows = [[m, error] for m, error in zip(cfg.orders, errors)]
     _write_csv(os.path.join(cfg.out, "converge.csv"), cfg, ["order", "error"], rows)
     return 0
 
@@ -220,7 +218,7 @@ OPTIONS = {
     "seed": dict(type=int, default=7),
     "tol": dict(type=float, default=None, help="positivity tolerance on the kernel"),
     "r": dict(type=float, default=2.0, help="radius of the sphere average"),
-    "orders": dict(default="8,16,32,64", help="comma list of orders"),
+    "orders": dict(default=",".join(map(str, CONVERGENCE_ORDERS)), help="comma list of orders"),
     "out": dict(default="out", help="output directory"),
 }
 

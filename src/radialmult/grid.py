@@ -41,11 +41,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Paired space/frequency lattices for the periodic box [-L/2, L/2)^n."""
+    """Paired space/frequency lattices for the periodic box [-L/2, L/2)^n.
+
+    The constructor validates (n, N, L) and stores them as int, int and
+    float, so equal grids compare and hash equal whatever types built them.
+    """
 
     n: int
     N: int
     L: float
+
+    def __post_init__(self):
+        if self.n not in (1, 2, 3):
+            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N % 2 != 0:
+            raise ValueError(f"points per axis must be an even integer >= 4, got {self.N}")
+        if not (self.L > 0 and np.isfinite(self.L)):
+            raise ValueError(f"extent must be positive and finite, got {self.L}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "L", float(self.L))
 
     @property
     def dx(self) -> float:
@@ -103,14 +118,8 @@ class FrequencyGrid:
 
 
 def make_grid(n: int, N: int, L: float) -> FrequencyGrid:
-    """Build a grid after validating (n, N, L)."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    if not isinstance(N, (int, np.integer)) or N < 4 or N % 2 != 0:
-        raise ValueError(f"points per axis must be an even integer >= 4, got {N}")
-    if not (L > 0 and np.isfinite(L)):
-        raise ValueError(f"extent must be positive and finite, got {L}")
-    return FrequencyGrid(n=int(n), N=int(N), L=float(L))
+    """The grid with n dimensions, N points per axis and extent L; validated on construction."""
+    return FrequencyGrid(n, N, L)
 
 
 @dataclass(frozen=True)
@@ -184,6 +193,23 @@ def transform(f: GridFunction, direction: str) -> GridFunction:
 def _inverse_dft(values: np.ndarray, grid: FrequencyGrid, axes=None) -> np.ndarray:
     """L^-n times the inverse DFT sum over the grid axes (all axes by default)."""
     return np.fft.ifftn(values, axes=axes) * (grid.N**grid.n / grid.L**grid.n)
+
+
+def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndarray:
+    """F^-1 [symbol . F values] over the grid axes.
+
+    The grid axes follow `stack` leading axes (independent fields
+    transformed in one call); trailing fiber axes ride along.  The
+    forward dx^n and inverse N^n/L^n scalings cancel, so the raw
+    fft/ifft pair is used directly.
+    """
+    fiber = values.ndim - stack - symbol.ndim
+    # numpy's explicit-axes path costs ~10 us per transform, so a lone
+    # scalar field takes the all-axes path
+    axes = tuple(range(stack, stack + symbol.ndim)) if stack or fiber else None
+    spectrum = np.fft.fftn(values, axes=axes)
+    spectrum *= symbol.reshape(symbol.shape + (1,) * fiber)  # in place: one spectrum alive
+    return np.fft.ifftn(spectrum, axes=axes)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

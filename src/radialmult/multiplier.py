@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, GridFunction, _inverse_dft
+from .grid import FrequencyGrid, GridFunction, _inverse_dft, _multiply
 from .rotation import Rotation, RotationQuadrature, _permute_lattice
 from .symbols import Symbol, sample_symbol
 
@@ -50,22 +50,6 @@ class MultiplierOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "sampled", sample_symbol(self.phi, self.grid).values)
-
-
-def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndarray:
-    """F^-1 [symbol . F values] over the grid axes.
-
-    The grid axes follow `stack` leading axes (independent fields
-    transformed in one call); trailing fiber axes ride along.  The
-    forward dx^n and inverse N^n/L^n scalings cancel, so the raw
-    fft/ifft pair is used directly.
-    """
-    fiber = values.ndim - stack - symbol.ndim
-    # numpy's explicit-axes path costs ~10 us per transform, so a lone
-    # scalar field takes the all-axes path
-    axes = tuple(range(stack, stack + symbol.ndim)) if stack or fiber else None
-    symbol = symbol.reshape(symbol.shape + (1,) * fiber)
-    return np.fft.ifftn(np.fft.fftn(values, axes=axes) * symbol, axes=axes)
 
 
 def _check_operand(op: MultiplierOperator, f: GridFunction) -> None:

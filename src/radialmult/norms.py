@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import FrequencyGrid, lp_norm
-from .multiplier import MultiplierOperator, _multiply, kernel, positivity_report
+from .grid import FrequencyGrid, _multiply, lp_norm
+from .multiplier import MultiplierOperator, kernel, positivity_report
 from .symbols import Symbol
 
 __all__ = [

@@ -14,15 +14,20 @@ Two independent computation paths:
 
 The two must agree as the quadrature orders grow; tests cross-validate
 them.  Both reproduce radial inputs exactly and annihilate odd symbols.
-Sphere orders have one policy, `default_order`.
+Sphere orders have one policy, `default_order`.  The measurements that
+the CLI and the verify battery both make of a sphere rule live here too:
+`radiality` of a projection and the `convergence_errors` of sphere means
+as the order grows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .grid import FrequencyGrid
-from .rotation import RotationQuadrature, SphereQuadrature
+from .rotation import RotationQuadrature, SphereQuadrature, sphere_quadrature
 from .symbols import NamedSymbol, RadialSymbol, SampledSymbol, Symbol, eval_symbol, sample_symbol
 
 __all__ = [
@@ -30,11 +35,14 @@ __all__ = [
     "project",
     "project_mc",
     "radial_deviation",
+    "radiality",
+    "convergence_errors",
     "default_radii",
     "default_order",
     "SMOOTH_ORDER",
     "INDICATOR_ORDER",
     "RADIALITY_ORDER",
+    "CONVERGENCE_ORDERS",
 ]
 
 #: Default sphere-quadrature order for smooth symbols.
@@ -43,6 +51,8 @@ SMOOTH_ORDER = 256
 INDICATOR_ORDER = 4096
 #: Order of the rule that re-projects a projection to measure its radiality.
 RADIALITY_ORDER = 8
+#: Sphere orders whose means `convergence_errors` compares with an oracle rule.
+CONVERGENCE_ORDERS = (8, 16, 32, 64)
 #: Largest number of points phi is evaluated at in one sphere-mean batch.
 _SPHERE_BATCH_POINTS = 2**20
 
@@ -138,3 +148,21 @@ def radial_deviation(phi: Symbol, proj: Symbol, grid: FrequencyGrid) -> float:
     """
     diff = sample_symbol(phi, grid).values - sample_symbol(proj, grid).values
     return float(np.max(np.abs(diff[~grid.nyquist_mask()])))
+
+
+def radiality(proj: RadialSymbol, grid: FrequencyGrid) -> float:
+    """Lattice deviation of a projection from its own re-projection at `RADIALITY_ORDER`.
+
+    A radial symbol is its own sphere mean at every order, so a radial
+    `proj` reads zero up to rounding.
+    """
+    reproj = project(proj, proj.radii, sphere_quadrature(proj.n, RADIALITY_ORDER))
+    return radial_deviation(proj, reproj, grid)
+
+
+def convergence_errors(
+    phi: Symbol, r: float, orders: Sequence[int], oracle: SphereQuadrature
+) -> list[float]:
+    """Per order m, |spherical mean of phi at radius r under the order-m rule - under `oracle`|."""
+    exact = spherical_mean(phi, r, oracle)
+    return [abs(spherical_mean(phi, r, sphere_quadrature(phi.n, m)) - exact) for m in orders]

@@ -25,8 +25,8 @@ from .multiplier import (
     positivity_report,
 )
 from .norms import norm_lower_power, norm_p2_exact, norm_upper_kernel
-from .radialize import INDICATOR_ORDER, RADIALITY_ORDER, SMOOTH_ORDER, default_order
-from .radialize import default_radii, project, radial_deviation, spherical_mean
+from .radialize import CONVERGENCE_ORDERS, INDICATOR_ORDER, SMOOTH_ORDER, convergence_errors
+from .radialize import default_order, default_radii, project, radiality
 from .rotation import (
     haar_rotation,
     lattice_group,
@@ -145,11 +145,10 @@ def check_radiality(ctx: _Context) -> CheckResult:
     """P(phi) is radial: lattice deviation and Haar-random rotation invariance."""
     details = {}
     ok = True
-    sq_cheap = sphere_quadrature(ctx.cfg.n, RADIALITY_ORDER)
     rng = np.random.default_rng(ctx.cfg.seed)
     for label, _ in ctx.catalog:
         proj = ctx.projection(label)
-        dev = radial_deviation(proj, project(proj, ctx.radii, sq_cheap), ctx.grid)
+        dev = radiality(proj, ctx.grid)
         rot_dev = 0.0
         for _ in range(20):
             R = haar_rotation(ctx.cfg.n, rng)
@@ -292,15 +291,19 @@ def check_q_vs_p(ctx: _Context) -> CheckResult:
 
 
 def check_quadrature_convergence(ctx: _Context) -> CheckResult:
-    """Spherical-mean error decreases with order; indicator profile matches geometry."""
+    """Spherical-mean error decreases with order; indicator profile matches geometry.
+
+    The n = 1 rule {+1, -1} is exact at every order, so there each error
+    must be exactly zero instead of strictly decreasing.
+    """
     phi = dict(ctx.catalog)["gaussaniso"]
-    oracle = spherical_mean(phi, 2.0, ctx.rules[ctx.cfg.indicator_order])
-    errors = [
-        abs(spherical_mean(phi, 2.0, sphere_quadrature(ctx.cfg.n, m)) - oracle)
-        for m in (8, 16, 32, 64)
-    ]
-    decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    ok = decreasing and errors[-1] <= 1e-10
+    oracle = ctx.rules[ctx.cfg.indicator_order]
+    errors = convergence_errors(phi, 2.0, CONVERGENCE_ORDERS, oracle)
+    if ctx.cfg.n == 1:
+        ok = all(e == 0.0 for e in errors)
+    else:
+        decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
+        ok = decreasing and errors[-1] <= 1e-10
     details = {"errors": tuple(errors)}
     if ctx.cfg.n == 2:
         proj = ctx.projection("boxind")

@@ -123,28 +123,31 @@ def test_radialize_evaluates_the_sphere_rule_once(tmp_path, monkeypatch):
     assert orders.count(4096) == 1
 
 
-def _spy_sphere_orders(monkeypatch, module):
-    """Record the order of every sphere rule `module` builds."""
+def _spy_sphere_orders(monkeypatch):
+    """Record the order of every sphere rule the CLI builds, itself or through `radialize`."""
+    import radialmult.radialize as radialize
+
     orders = []
-    original = module.sphere_quadrature
+    original = cli.sphere_quadrature
 
     def spy(n, m):
         orders.append(m)
         return original(n, m)
 
-    monkeypatch.setattr(module, "sphere_quadrature", spy)
+    for module in (cli, radialize):
+        monkeypatch.setattr(module, "sphere_quadrature", spy)
     return orders
 
 
 def test_demo_builds_each_sphere_rule_once(tmp_path, monkeypatch):
     # ballind and boxind share the indicator order, so they share its rule
-    orders = _spy_sphere_orders(monkeypatch, cli)
+    orders = _spy_sphere_orders(monkeypatch)
     assert main(["demo", "--grid", "16", "--extent", "8", "--out", str(tmp_path)]) == 0
     assert sorted(orders) == [SMOOTH_ORDER, INDICATOR_ORDER]
 
 
 def test_radialize_builds_the_given_order_and_the_radiality_rule(tmp_path, monkeypatch):
-    orders = _spy_sphere_orders(monkeypatch, cli)
+    orders = _spy_sphere_orders(monkeypatch)
     assert main(["radialize", "--symbol", "heat:t=1", "--order", "256", "--grid", "16",
                  "--extent", "8", "--out", str(tmp_path)]) == 0
     assert sorted(orders) == sorted([256, RADIALITY_ORDER])

@@ -20,15 +20,34 @@ def test_make_grid_basic():
     assert g.shape == (64, 64)
 
 
+#: (n, N, L) triples that no grid constructor accepts.
+BAD_GRIDS = [
+    (4, 16, 8.0),
+    (0, 16, 8.0),
+    (2, 15, 8.0),  # odd N
+    (2, 5, 1.0),
+    (2, 2, 8.0),  # too small
+    (2, 16.0, 8.0),  # N not an integer
+    (2, 16, -1.0),
+    (4, 8, -1.0),
+    (2, 16, 0.0),
+    (2, 16, float("nan")),
+    (2, 16, float("inf")),
+]
+
+
 def test_make_grid_validation():
-    with pytest.raises(ValueError):
-        make_grid(4, 16, 8.0)
-    with pytest.raises(ValueError):
-        make_grid(2, 15, 8.0)  # odd N
-    with pytest.raises(ValueError):
-        make_grid(2, 2, 8.0)  # too small
-    with pytest.raises(ValueError):
-        make_grid(2, 16, -1.0)
+    # the dataclass validates itself, so both constructors reject each triple
+    for build in (make_grid, grid_module.FrequencyGrid):
+        for n, N, L in BAD_GRIDS:
+            with pytest.raises(ValueError):
+                build(n, N, L)
+
+
+def test_grid_fields_are_normalized():
+    g = grid_module.FrequencyGrid(np.int64(2), np.int64(16), 8)
+    assert (type(g.n), type(g.N), type(g.L)) == (int, int, float)
+    assert g == make_grid(2, 16, 8.0) and hash(g) == hash(make_grid(2, 16, 8.0))
 
 
 def test_index_axis_signed_order():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialmult import (
     GridFunction,
@@ -27,6 +29,7 @@ from radialmult import (
 from radialmult import multiplier as multiplier_module
 from radialmult.radialize import default_radii
 from radialmult.rotation import subgroup_quadrature
+from radialmult.symbols import SampledSymbol
 from radialmult.verification import reference_catalog
 
 
@@ -305,3 +308,73 @@ def test_positive_operator_preserves_positive_functions():
         out = apply(op, f)
         assert np.min(out.values.real) >= -1e-10
         assert np.max(np.abs(out.values.imag)) <= 1e-10
+
+
+# -- the exact lattice-group average, on random symbols and grids ------------
+
+
+def _group_average(sampled, group):
+    """The lattice-group average of a sampled symbol: mean of xi -> phi(R^-1 xi)."""
+    values = np.mean([rotated_symbol(sampled, R.inverse()).values for R in group], axis=0)
+    return SampledSymbol(sampled.grid, values)
+
+
+@st.composite
+def _aniso_gaussians(draw):
+    """A grid with n in {2, 3}, N in {4, 6, 8}, and a random SPD gaussian_aniso on it."""
+    n = draw(st.sampled_from([2, 3]))
+    g = make_grid(n, draw(st.sampled_from([4, 6, 8])), draw(st.floats(2.0, 16.0)))
+    B = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    A = B.reshape(n, n) @ B.reshape(n, n).T + 0.1 * np.eye(n)
+    return g, make_named_symbol("gaussian_aniso", {"A": A}, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_aniso_gaussians())
+def test_lattice_average_is_an_invariant_idempotent_sup_contraction(case):
+    g, phi = case
+    group = lattice_group(g.n)
+    sampled = sample_symbol(phi, g)
+    avg = _group_average(sampled, group)
+    assert np.max(np.abs(_group_average(avg, group).values - avg.values)) <= 1e-12
+    for R in group:
+        assert np.max(np.abs(rotated_symbol(avg, R).values - avg.values)) <= 1e-12
+    assert np.max(np.abs(avg.values)) <= np.max(np.abs(sampled.values)) * (1.0 + 1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_aniso_gaussians(), st.integers(0, 2**32 - 1))
+def test_conjugation_by_each_group_element_is_the_rotated_symbol(case, seed):
+    g, phi = case
+    op = MultiplierOperator(phi, g)
+    sampled = sample_symbol(phi, g)
+    f = _rand_f(g, seed)
+    for R in lattice_group(g.n):
+        rot_op = MultiplierOperator(rotated_symbol(sampled, R.inverse()), g)
+        dev = np.max(np.abs(conjugated_apply(op, R, f).values - apply(rot_op, f).values))
+        assert dev <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(_aniso_gaussians())
+def test_lattice_average_keeps_the_kernel_minimum(case):
+    # the average's kernel is the mean of the rotated kernels, each a
+    # permutation of the original kernel's values
+    g, phi = case
+    K = kernel(MultiplierOperator(phi, g)).values.real
+    avg = _group_average(sample_symbol(phi, g), lattice_group(g.n))
+    K_avg = kernel(MultiplierOperator(avg, g)).values.real
+    assert np.min(K_avg) >= np.min(K) - 1e-12 * np.max(np.abs(K))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([4, 6, 8]), st.data())
+def test_lattice_average_annihilates_riesz_off_the_nyquist_rows(n, N, data):
+    # a Nyquist index is its own negative mod N, so its mirror partner is
+    # missing there: the C4 average of riesz j=1 is 0.707 on those rows
+    g = make_grid(n, N, 8.0)
+    riesz = make_named_symbol("riesz", {"j": data.draw(st.integers(1, n))}, n)
+    avg = _group_average(sample_symbol(riesz, g), lattice_group(n))
+    assert np.max(np.abs(avg.values[~g.nyquist_mask()])) <= 1e-15
+    if n == 2:
+        assert np.max(np.abs(avg.values[g.nyquist_mask()])) > 0.5

@@ -18,7 +18,7 @@ from radialmult import (
     norm_upper_kernel,
 )
 from radialmult import multiplier, norms
-from radialmult.multiplier import _multiply
+from radialmult.grid import _multiply
 from radialmult.norms import POWER_RELATIVE_GAIN
 from radialmult.radialize import default_radii, project
 from radialmult.rotation import sphere_quadrature

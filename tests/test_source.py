@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import radialmult
 
 SOURCES = sorted(Path(radialmult.__file__).parent.glob("*.py"))
@@ -68,3 +70,35 @@ def test_norms_layer_imports_neither_radialize_nor_rotation():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert not imported & {"radialize", "rotation"}, sorted(imported)
+
+
+#: numpy.fft's transforms; its frequency and shift helpers compute no transform.
+FFT_TRANSFORMS = {
+    name for name in dir(np.fft) if "fft" in name and not name.endswith(("freq", "shift"))
+}
+
+
+def _dotted(node: ast.expr) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_only_the_grid_module_calls_fft_transforms():
+    # every other layer multiplies through the grid's private transform pair
+    found = []
+    for path in SOURCES:
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+                found.append(f"{path.name}:{node.lineno} from {node.module} import")
+            elif isinstance(node, ast.Call):
+                head, _, name = _dotted(node.func).rpartition(".")
+                if head.endswith("fft") and name in FFT_TRANSFORMS:
+                    found.append(f"{path.name}:{node.lineno} {head}.{name}")
+    assert SOURCES and not found, found
