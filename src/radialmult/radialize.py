@@ -7,8 +7,9 @@ Two independent computation paths:
   averaged symbol is the spherical mean profile evaluated at |xi|.
   `project(phi, radii, sq)` returns that profile on the given radii as
   a `RadialSymbol` of phi's dimension; sq must have the same dimension.
-  It evaluates phi over whole radii in batches of bounded size, and
-  `radial_deviation` reads the projection its caller computed.
+  It evaluates phi over whole radii in batches of bounded size, on
+  points stored coordinate-major (each coordinate one contiguous block),
+  and `radial_deviation` reads the projection its caller computed.
 * `project_mc` computes the average literally as a weighted sum of
   phi(R_j^-1 xi) over rotation quadrature nodes, on a grid.
 
@@ -86,14 +87,30 @@ def _require_pointwise(phi: Symbol) -> None:
         raise ValueError("sampled symbols cannot be evaluated off-lattice; resample a closed form")
 
 
+def _sphere_points(radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
+    """The (K, m, n) points r_k * nu_i, stored coordinate-major.
+
+    The result is a view of a C-contiguous (n, K, m) buffer, so each
+    coordinate is one contiguous block and a formula's reduction over
+    the last axis reads contiguous rows.  `out=` fixes that layout:
+    without it numpy lays the product out in its operands' stride order,
+    which is coordinate-last again.
+    """
+    buf = np.empty((sq.n, len(radii), len(sq.weights)))
+    np.multiply(radii[:, None], sq.nodes.T[:, None, :], out=buf)
+    return np.moveaxis(buf, 0, -1)
+
+
 def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
     """Average of phi over the sphere of each radius; phi(0) exactly at r = 0.
 
     Positive radii are evaluated in batches of whole radii, at most
-    `_SPHERE_BATCH_POINTS` points each.  Each radius's row is then reduced
-    by its own dot product: a matrix-vector product rounds differently
-    from a dot product, which would make a radius's mean depend on how
-    many radii share the call.
+    `_SPHERE_BATCH_POINTS` points each, on the coordinate-major points of
+    `_sphere_points`; each batch's points are made inside the `evaluate`
+    call, so they are freed before the next batch is built.  Each
+    radius's row is then reduced by its own dot product: a matrix-vector
+    product rounds differently from a dot product, which would make a
+    radius's mean depend on how many radii share the call.
     """
     _require_pointwise(phi)
     if phi.n != sq.n:
@@ -110,10 +127,12 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     step = max(1, _SPHERE_BATCH_POINTS // len(sq.weights))
     for start in range(0, len(positive), step):
         batch = positive[start:start + step]
-        vals = phi.evaluate(radii[batch, None, None] * sq.nodes[None, :, :])  # (K, m)
+        vals = phi.evaluate(_sphere_points(radii[batch], sq))  # (K, m)
         means[batch] = [np.dot(row, weights) for row in vals]
-        # convex-average bound; the mechanism behind contractivity at p = 2
-        if np.any(np.abs(means[batch]) > np.max(np.abs(vals), axis=1) + 1e-13):
+        # convex-average bound, the mechanism behind contractivity at p = 2;
+        # the slack is relative above 1 because a dot product rounds relatively
+        largest = np.max(np.abs(vals), axis=1)
+        if np.any(np.abs(means[batch]) > largest + 1e-13 * np.maximum(1.0, largest)):
             raise ArithmeticError("sphere mean exceeds the largest sampled value")
     return means
 

@@ -42,7 +42,13 @@ class Symbol:
     n: int
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of frequency points of shape (..., n)."""
+        """Evaluate at an array of frequency points of shape (..., n).
+
+        `points` may be a strided (..., n) view whose coordinates are
+        contiguous blocks (the sphere means pass such a view).  Read the
+        coordinates through the last axis; do not reshape the cloud to
+        (-1, n), which may copy it.
+        """
         raise NotImplementedError
 
 
@@ -143,7 +149,10 @@ class SymbolSpec:
     check(params, n) validates catalog parameters and returns them with
     normalized types; from_cli(kv, n) pops the CLI key=value pairs it
     reads at dimension n and maps them to catalog parameters;
-    formula(points, params) evaluates at (..., n) points.  kink marks a
+    formula(points, params) evaluates at (..., n) points, which may be a
+    strided view whose coordinates are contiguous blocks: it reads the
+    coordinates through the last axis and does not reshape the cloud to
+    (-1, n), which may copy it.  kink marks a
     symbol whose jump makes sphere averages converge slowly: it gets the
     indicator sphere-quadrature order.
     """

@@ -94,6 +94,16 @@ def test_demo_outputs(tmp_path):
     assert (tmp_path / "profile_heat.csv").exists()
 
 
+def test_radialize_large_values_within_rounding_exit_0(tmp_path):
+    # xi_1^2 reaches 631.7 on this grid; the order-8 re-projection's mean exceeds
+    # that by 2.3e-13 (3.6e-16 relative), which is rounding, not a failed average
+    rc = main(
+        ["radialize", "--symbol", "monomial:a1=2", "--n", "3", "--grid", "16", "--extent", "2",
+         "--order", "64", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+
+
 def test_radialize_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()

@@ -242,6 +242,8 @@ def test_sphere_means_are_bitwise_those_of_one_batch(monkeypatch):
 
         def evaluate(self, points):
             self.sizes.append(points[..., 0].size)
+            # coordinate-major: each coordinate of the cloud is one contiguous block
+            assert all(points[..., i].flags.c_contiguous for i in range(self.n))
             return self.phi.evaluate(points)
 
     for n in (2, 3):
@@ -266,18 +268,35 @@ def test_sphere_means_are_bitwise_those_of_one_batch(monkeypatch):
                 monkeypatch.undo()
 
 
-@pytest.mark.parametrize("n,N,L,order", [(2, 32, 8.0, 256), (3, 16, 8.0, 64)])
+@pytest.mark.parametrize("n,N,L,order", [(1, 32, 8.0, 8), (2, 32, 8.0, 256), (3, 16, 8.0, 64)])
 def test_project_means_are_bitwise_the_one_radius_means(n, N, L, order):
-    # a radius's mean must not depend on how many radii share the batch
+    # a radius's mean must not depend on how many radii share the batch, nor on
+    # how the batch's points are stored: every mean is bitwise the naive dot
+    # product over a C-ordered (m, n) cloud, for every catalog symbol and for
+    # its projection
     sq = sphere_quadrature(n, order)
+    weights = sq.weights.astype(complex)
     radii = default_radii(make_grid(n, N, L))
-    for phi in (
-        make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0, 2.0][:n])}, n),
-        make_named_symbol("box_indicator", {"a": 1.0}, n),
-    ):
-        values = project(phi, radii, sq).values
-        for k in range(0, len(radii), 7):
-            assert values[k] == spherical_mean(phi, radii[k], sq)
+    catalog = [phi for _, phi in reference_catalog(n)]
+    assert {phi.name for phi in catalog} == set(SYMBOL_SPECS)
+    for phi in catalog:
+        proj = project(phi, radii, sq)
+        for psi, values in ((phi, proj.values), (proj, project(proj, radii, sq).values)):
+            for k in range(1, len(radii)):
+                naive = np.dot(psi.evaluate(radii[k] * sq.nodes), weights)
+                assert np.array_equal(values[k], naive), (psi, radii[k])
+            for k in range(0, len(radii), 7):
+                assert values[k] == spherical_mean(psi, radii[k], sq)
+
+
+def test_sphere_means_guard_the_convex_average():
+    # the mean of values bounded by M cannot exceed M beyond rounding; a rule
+    # whose weights sum to 1.01 breaks that, and the guard must see it
+    phi = make_named_symbol("constant", {"c": 1.0}, 2)
+    sq = sphere_quadrature(2, 16)
+    object.__setattr__(sq, "weights", sq.weights * 1.01)
+    with pytest.raises(ArithmeticError, match="exceeds the largest sampled value"):
+        project(phi, np.array([0.0, 1.0]), sq)
 
 
 def test_sphere_means_reject_negative_radius():
