@@ -201,15 +201,14 @@ def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndar
     The grid axes follow `stack` leading axes (independent fields
     transformed in one call); trailing fiber axes ride along.  The
     forward dx^n and inverse N^n/L^n scalings cancel, so the raw
-    fft/ifft pair is used directly.
+    fft/ifft pair is used directly.  Every call names its axes and their
+    lengths, which spares numpy looking the lengths up per transform.
     """
     fiber = values.ndim - stack - symbol.ndim
-    # numpy's explicit-axes path costs ~10 us per transform, so a lone
-    # scalar field takes the all-axes path
-    axes = tuple(range(stack, stack + symbol.ndim)) if stack or fiber else None
-    spectrum = np.fft.fftn(values, axes=axes)
+    axes = tuple(range(stack, stack + symbol.ndim))
+    spectrum = np.fft.fftn(values, s=symbol.shape, axes=axes)
     spectrum *= symbol.reshape(symbol.shape + (1,) * fiber)  # in place: one spectrum alive
-    return np.fft.ifftn(spectrum, axes=axes)
+    return np.fft.ifftn(spectrum, s=symbol.shape, axes=axes)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -8,7 +8,10 @@ supplies lower bounds and the kernel mass is an upper bound for all p
 at once (Young's inequality).  Its random restarts run as one stack,
 each step transforming every live trial in one FFT pair; per-trial
 norms are rooted on numpy scalars so that every trial reproduces, bit
-for bit, the run it would make alone.
+for bit, the run it would make alone.  A step divides only to form
+reciprocals: it normalizes and takes phases by multiplying with 1/c,
+which is the arithmetic numpy's division of a complex by a real c does
+(see `_phase`), so the cheaper step has the quotient form's bits.
 
 `contraction_report` tabulates them for a symbol and its rotation
 average, which the caller computes: this layer only computes norms.
@@ -74,8 +77,17 @@ def norm_upper_kernel(op: MultiplierOperator) -> NormEstimate:
 
 
 def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """y / |y|, and 0 where y vanishes; `mags` is |y|."""
-    return np.where(mags > 0, y / np.where(mags > 0, mags, 1.0), 0.0)
+    """y / |y|, and 0 wherever `mags > 0` fails (y = 0, or NaN); `mags` is |y|.
+
+    Computed as y * (1/|y|), which has the quotient's bits: numpy divides
+    a + bi by a real c, cast to c + 0j, by Smith's rule, which then reduces
+    to (a + b*0) * (1/c) and (b - a*0) * (1/c), and at finite a, b the
+    zero products change nothing.  Multiplying by one reciprocal per point
+    costs a fraction of the masked complex division.
+    """
+    live = mags > 0
+    inv = np.divide(1.0, mags, out=np.zeros_like(mags), where=live)
+    return np.multiply(y, inv, out=np.zeros_like(y), where=live)
 
 
 def _row_norms(mags: np.ndarray, p: float, vol: float) -> np.ndarray:
@@ -152,7 +164,7 @@ def norm_lower_power(
         x, nx = retire(nx == 0.0, step, x, nx)
         if not len(rows):
             break
-        x = x / nx.reshape(per_trial)
+        x *= (1.0 / nx).reshape(per_trial)  # bitwise x / nx, see _phase
         y = _multiply(sym, x, stack=1)
         mags = np.abs(y)
         est = _row_norms(mags, p, vol)
@@ -161,10 +173,12 @@ def norm_lower_power(
         y, mags, est = retire(est == 0.0, step, y, mags, est)
         if not len(rows):
             break
-        s = mags ** (p - 1.0) * _phase(y, mags)
+        s = _phase(y, mags)
+        s *= mags ** (p - 1.0)
         z = _multiply(sym_conj, s, stack=1)
         zmags = np.abs(z)
-        x = zmags ** (q - 1.0) * _phase(z, zmags)
+        x = _phase(z, zmags)
+        x *= zmags ** (q - 1.0)
         stalled = est - est_prev[rows] <= POWER_RELATIVE_GAIN * est
         est_prev[rows] = est
         (x,) = retire(stalled, step, x)

@@ -134,6 +134,24 @@ def _riesz(x: np.ndarray, p: dict) -> np.ndarray:
     return np.where(norms > 0, x[..., p["j"] - 1] / safe, 0.0).astype(complex)
 
 
+def _quadratic_form(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x^T A x at each (..., n) point, bitwise np.einsum("...i,ij,...j->...", x, A, x).
+
+    It sums in the order einsum takes on a batched cloud (three points or
+    more, either layout) with a C-ordered A: each term is (x_i * A_ij) * x_j,
+    added to a zero start in i-major order.  Zero entries are skipped,
+    since they add only +-0 at finite points.  Every point is summed
+    alike, so a lone point gets the bits it has inside a batch; einsum
+    can take another order on one or two points and round differently.
+    """
+    out = np.zeros(x.shape[:-1])
+    for i, j in zip(*np.nonzero(A)):
+        term = x[..., i] * A[i, j]
+        term *= x[..., j]
+        out += term
+    return out
+
+
 def _monomial(x: np.ndarray, p: dict) -> np.ndarray:
     out = np.ones(x.shape[:-1])
     for i, a in enumerate(p["alpha"]):
@@ -171,7 +189,7 @@ SYMBOL_SPECS: dict[str, SymbolSpec] = {
         lambda x, p: np.full(x.shape[:-1], p["c"])),
     "gaussian_aniso": SymbolSpec(
         ("gaussaniso",), lambda p, n: {"A": _check_spd(p["A"], n)}, _gaussian_from_cli,
-        lambda x, p: np.exp(-np.einsum("...i,ij,...j->...", x, p["A"], x)).astype(complex)),
+        lambda x, p: np.exp(-_quadratic_form(x, p["A"])).astype(complex)),
     "heat": SymbolSpec(
         ("heat",), _positive("t"), _cli_scalar("t"),
         lambda x, p: np.exp(-p["t"] * np.sum(x**2, axis=-1)).astype(complex)),

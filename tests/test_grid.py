@@ -10,6 +10,7 @@ from radialmult import (
     transform,
 )
 from radialmult import grid as grid_module
+from radialmult.grid import _multiply
 
 
 def test_make_grid_basic():
@@ -208,3 +209,33 @@ def test_transform_carries_the_fiber_axis():
         component = transform(GridFunction(g, vals[..., i]), "forward").values
         assert np.array_equal(Fhat.values[..., i], component)
     assert np.max(np.abs(transform(Fhat, "inverse").values - vals)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8), (8, 8, 8)])
+def test_multiply_is_one_transform_pair_on_every_input(shape, monkeypatch):
+    rng = np.random.default_rng(len(shape))
+
+    def field(dims):
+        return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+    sym, scalar, stacked, fibers = field(shape), field(shape), field((3,) + shape), field(shape + (2,))
+    fftn, ifftn = np.fft.fftn, np.fft.ifftn
+    calls = []
+
+    def counting(name, transform_):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return transform_(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np.fft, "fftn", counting("fftn", fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counting("ifftn", ifftn))
+    got = _multiply(sym, scalar)
+    assert calls == ["fftn", "ifftn"]
+    # spectrum times symbol: with fused multiply-adds numpy's complex product
+    # need not commute bit for bit
+    assert np.array_equal(got, ifftn(fftn(scalar) * sym))
+    by_trial = _multiply(sym, stacked, stack=1)
+    assert all(np.array_equal(by_trial[k], _multiply(sym, stacked[k])) for k in range(3))
+    by_fiber = _multiply(sym, fibers)
+    assert all(np.array_equal(by_fiber[..., i], _multiply(sym, fibers[..., i])) for i in range(2))

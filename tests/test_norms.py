@@ -207,6 +207,24 @@ def test_norm_estimate_rejects_negative_and_nan_values():
             NormEstimate(value=value, kind="exact", p=2.0, method="plancherel-sup")
 
 
+def test_phase_is_the_quotient_and_zero_where_magnitude_is_not_positive():
+    rng = np.random.default_rng(4)
+    shape = (3, 16, 16)
+    scale = 10.0 ** rng.integers(-150, 150, shape)
+    y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    y[0, :4] = 0.0
+    y[1, 2, 3] = complex(np.nan, 1.0)
+    y[1, 2, 4] = np.nan
+    y[2, 5, 5] = complex(0.0, -2.0)
+    y[2, 5, 6] = -3.0
+    mags = np.abs(y)
+    live = mags > 0
+    got = norms._phase(y, mags)
+    assert np.array_equal(got[~live], np.zeros((~live).sum(), dtype=complex))
+    assert np.array_equal(got[live], y[live] / mags[live])
+    assert (~live).sum() == 66 and not np.isnan(got).any()  # 64 zeros, 2 NaNs
+
+
 def _power_one_trial_at_a_time(op, p, trials, iters, seed):
     """The power iteration run trial by trial, as the definition reads.
 
@@ -264,7 +282,7 @@ def _assert_matches_one_trial_at_a_time(op, p, trials, iters, seed):
 
 
 @pytest.mark.parametrize("trials", [1, 4])
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.0, 3.0, 4.0])
 def test_stacked_power_iteration_is_bitwise_the_trial_loop(p, trials):
     g = make_grid(2, 16, 8.0)
     sq = sphere_quadrature(2, 64)

@@ -102,3 +102,14 @@ def test_only_the_grid_module_calls_fft_transforms():
                 if head.endswith("fft") and name in FFT_TRANSFORMS:
                     found.append(f"{path.name}:{node.lineno} {head}.{name}")
     assert SOURCES and not found, found
+
+
+def test_symbol_formulas_call_no_einsum():
+    # einsum's generic sum-of-products loop was most of an n = 3 anisotropic-Gaussian radialize
+    path = Path(radialmult.__file__).parent / "symbols.py"
+    found = [
+        f"symbols.py:{node.lineno} {_dotted(node.func)}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "einsum"
+    ]
+    assert not found, found

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialmult import (
     RadialSymbol,
@@ -12,7 +14,8 @@ from radialmult import (
     parse_symbol_spec,
     sample_symbol,
 )
-from radialmult.symbols import SYMBOL_SPECS, SymbolSpecError
+from radialmult.symbols import SYMBOL_SPECS, SymbolSpecError, _quadratic_form
+from radialmult.verification import reference_catalog
 
 
 def test_heat_value():
@@ -93,6 +96,51 @@ def test_radial_symbol_rotation_invariant():
         R = haar_rotation(2, rng)
         xi = rng.standard_normal(2) * 2.0
         assert abs(eval_symbol(phi, R.M @ xi) - eval_symbol(phi, xi)) <= 1e-12
+
+
+def _both_layouts(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (..., n) cloud C-ordered, and the same points stored coordinate-major."""
+    coordinate_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(cloud, -1, 0)), 0, -1)
+    return cloud, coordinate_major
+
+
+def _spd(rng, n: int) -> np.ndarray:
+    B = rng.standard_normal((n, n))
+    return B @ B.T + np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_symbol_value_per_point(n):
+    # a point alone gets the bits it has inside a batch, whatever the batch layout
+    rng = np.random.default_rng(n)
+    full = make_named_symbol("gaussian_aniso", {"A": _spd(rng, n)}, n)
+    clouds = _both_layouts(rng.standard_normal((30, 70, n)) * 2.0)
+    for label, phi in reference_catalog(n) + [("gaussaniso-full", full)]:
+        alone = np.array([eval_symbol(phi, xi) for xi in clouds[0].reshape(-1, n)])
+        for cloud in clouds:
+            assert np.array_equal(phi.evaluate(cloud).ravel(), alone), label
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["spd", "diagonal", "zero-off-diagonal"]),
+    shape=st.sampled_from([(3,), (40,), (7, 33), (3, 5, 11)]),
+)
+def test_quadratic_form_is_bitwise_einsum(seed, n, kind, shape):
+    # batched clouds only: on one or two points einsum may sum in another order
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        A = np.diag(rng.uniform(0.1, 5.0, n))
+    else:
+        A = _spd(rng, n)
+        if kind == "zero-off-diagonal" and n > 1:
+            A[0, -1] = A[-1, 0] = 0.0
+            A += np.abs(A).sum() * np.eye(n)  # still positive definite
+    for x in _both_layouts(rng.standard_normal(shape + (n,)) * rng.uniform(0.1, 30.0)):
+        want = np.einsum("...i,ij,...j->...", x, A, x)
+        assert np.array_equal(_quadratic_form(x, A), want)
 
 
 def test_sample_symbol_matches_eval():
