@@ -187,9 +187,10 @@ def cmd_demo(cfg: argparse.Namespace) -> int:
     grid = make_grid(cfg.n, cfg.N, cfg.L)
     radii = default_radii(grid)
     catalog = reference_catalog(cfg.n)
-    rules = {m: sphere_quadrature(cfg.n, m) for m in {default_order(phi) for _, phi in catalog}}
+    orders = {default_order(phi) for phi in catalog.values()}
+    rules = {m: sphere_quadrature(cfg.n, m) for m in orders}
     summary = []
-    for label, phi in catalog:
+    for label, phi in catalog.items():
         proj = project(phi, radii, rules[default_order(phi)])
         _write_profile(os.path.join(cfg.out, f"profile_{label}.csv"), cfg, proj)
         rep_o = positivity_report(MultiplierOperator(phi, grid))

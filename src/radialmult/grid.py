@@ -52,8 +52,7 @@ class FrequencyGrid:
     L: float
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
+        _check_dimension(self.n)
         if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N % 2 != 0:
             raise ValueError(f"points per axis must be an even integer >= 4, got {self.N}")
         if not (self.L > 0 and np.isfinite(self.L)):
@@ -193,6 +192,12 @@ def transform(f: GridFunction, direction: str) -> GridFunction:
 def _inverse_dft(values: np.ndarray, grid: FrequencyGrid, axes=None) -> np.ndarray:
     """L^-n times the inverse DFT sum over the grid axes (all axes by default)."""
     return np.fft.ifftn(values, axes=axes) * (grid.N**grid.n / grid.L**grid.n)
+
+
+def _check_dimension(n: int) -> None:
+    """The one dimension rule: n is 1, 2 or 3."""
+    if n not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
 
 
 def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .grid import FrequencyGrid, GridFunction, _inverse_dft, _multiply
-from .rotation import Rotation, RotationQuadrature, _permute_lattice
+from .rotation import Rotation, RotationQuadrature, _permute_lattice, subgroup_quadrature
 from .symbols import Symbol, sample_symbol
 
 __all__ = [
@@ -88,18 +88,9 @@ def rotate_function(f: GridFunction, R: Rotation, mode: str = "exact") -> GridFu
     return replace(f, values=_rotate_values(f.values, f.grid, R, mode))
 
 
-def _conjugated_values(
-    op: MultiplierOperator, R: Rotation, f: GridFunction, mode: str
-) -> np.ndarray:
-    """Values of (S_R^-1 M_phi S_R) f; the caller has checked f against op."""
-    rotated = _rotate_values(f.values, f.grid, R, mode)
-    return _rotate_values(_multiply(op.sampled, rotated), f.grid, R.inverse(), mode)
-
-
 def conjugated_apply(op: MultiplierOperator, R: Rotation, f: GridFunction, mode: str = "exact"):
-    """(S_R^-1 M_phi S_R) f; equals the operator with symbol phi(R^-1 .)."""
-    _check_operand(op, f)
-    return replace(f, values=_conjugated_values(op, R, f, mode))
+    """(S_R^-1 M_phi S_R) f, the one-node `average_conjugated`; symbol phi(R^-1 .)."""
+    return average_conjugated(op, subgroup_quadrature([R]), f, mode)
 
 
 def average_conjugated(
@@ -113,7 +104,8 @@ def average_conjugated(
     _check_operand(op, f)
     acc = np.zeros(f.values.shape, dtype=complex)
     for R, w in zip(rq.rotations, rq.weights):
-        acc += w * _conjugated_values(op, R, f, mode)
+        multiplied = _multiply(op.sampled, _rotate_values(f.values, f.grid, R, mode))
+        acc += w * _rotate_values(multiplied, f.grid, R.inverse(), mode)
     return replace(f, values=acc)
 
 

@@ -83,11 +83,18 @@ def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
     a + bi by a real c, cast to c + 0j, by Smith's rule, which then reduces
     to (a + b*0) * (1/c) and (b - a*0) * (1/c), and at finite a, b the
     zero products change nothing.  Multiplying by one reciprocal per point
-    costs a fraction of the masked complex division.
+    costs a fraction of the masked complex division.  A subnormal |y|
+    has no finite reciprocal, so those entries are first scaled by an
+    exact power of two.
     """
-    live = mags > 0
-    inv = np.divide(1.0, mags, out=np.zeros_like(mags), where=live)
-    return np.multiply(y, inv, out=np.zeros_like(y), where=live)
+    normal = mags >= np.finfo(float).tiny
+    inv = np.divide(1.0, mags, out=np.zeros_like(mags), where=normal)
+    out = np.multiply(y, inv, out=np.zeros_like(y), where=normal)
+    if not normal.all():  # zeros, NaN, or subnormal magnitudes
+        small = (mags > 0) & ~normal
+        scaled = y[small] * 2.0**600
+        out[small] = scaled / np.abs(scaled)
+    return out
 
 
 def _row_norms(mags: np.ndarray, p: float, vol: float) -> np.ndarray:

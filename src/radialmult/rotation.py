@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, _check_dimension
 from .symbols import SampledSymbol
 
 __all__ = [
@@ -103,8 +103,7 @@ class SphereQuadrature:
 
 def haar_rotation(n: int, rng: np.random.Generator) -> Rotation:
     """Draw a Haar-uniform rotation from a seeded generator."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    _check_dimension(n)
     if n == 1:
         return Rotation(1, np.eye(1))
     G = rng.standard_normal((n, n))
@@ -133,8 +132,7 @@ def _euler_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 def so_quadrature(n: int, m: int) -> RotationQuadrature:
     """Deterministic quadrature rule for normalized Haar measure on SO(n)."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    _check_dimension(n)
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if n == 1:
@@ -168,8 +166,7 @@ def sphere_quadrature(n: int, m: int) -> SphereQuadrature:
     m azimuths), so m = 4096 means 16.8M nodes at n = 3.  The n = 1 rule
     {+1, -1} is the whole of S^0 and ignores m.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    _check_dimension(n)
     if m < 2:
         raise ValueError(f"order must be >= 2, got {m}")
     if n == 1:
@@ -207,8 +204,7 @@ def lattice_group(n: int) -> list[Rotation]:
     (i, i+1), so at n = 2 the list runs through the turns by 0, 90, 180
     and 270 degrees.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    _check_dimension(n)
     turns = [np.eye(n, dtype=int) for _ in range(n - 1)]
     for i, T in enumerate(turns):
         T[i : i + 2, i : i + 2] = [[0, -1], [1, 0]]

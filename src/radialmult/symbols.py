@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, _check_dimension
 
 __all__ = [
     "Symbol",
@@ -80,21 +80,16 @@ def _cli_scalar(key: str):
     return lambda kv, n: {key: kv.pop(key, 1.0)}
 
 
-def _cli_int(kv: dict, key: str, default: int) -> int:
-    value = kv.pop(key, default)
-    _require(float(value).is_integer(), f"{key} must be an integer, got {value}")
-    return int(value)
-
-
 def _ball_from_cli(kv: dict, n: int) -> dict:
     _require(not {"r", "rho"} <= kv.keys(), "give the radius as r or rho, not both")
     return {"rho": kv.pop("rho") if "rho" in kv else kv.pop("r", 1.0)}
 
 
 def _check_riesz(p: dict, n: int) -> dict:
-    j = int(p["j"])
-    _require(1 <= j <= n, f"component index must be in 1..{n}, got {j}")
-    return {"j": j}
+    j = p["j"]
+    _require(float(j).is_integer() and 1 <= j <= n,
+             f"component index must be an integer in 1..{n}, got {j}")
+    return {"j": int(j)}
 
 
 def _check_bochner_riesz(p: dict, n: int) -> dict:
@@ -103,10 +98,10 @@ def _check_bochner_riesz(p: dict, n: int) -> dict:
 
 
 def _check_monomial(p: dict, n: int) -> dict:
-    alpha = tuple(int(a) for a in p["alpha"])
-    _require(len(alpha) == n and min(alpha) >= 0,
+    alpha = tuple(p["alpha"])
+    _require(len(alpha) == n and all(float(a).is_integer() and a >= 0 for a in alpha),
              f"alpha must be {n} nonnegative integers, got {p['alpha']}")
-    return {"alpha": alpha}
+    return {"alpha": tuple(int(a) for a in alpha)}
 
 
 def _check_modulation(p: dict, n: int) -> dict:
@@ -152,6 +147,14 @@ def _quadratic_form(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _modulation(x: np.ndarray, p: dict) -> np.ndarray:
+    """exp(i <a, x>), <a, x> summed over the nonzero a_i in index order as in `_quadratic_form`."""
+    phase = np.zeros(x.shape[:-1])
+    for i in np.flatnonzero(p["a"]):
+        phase += x[..., i] * p["a"][i]
+    return np.exp(1j * phase)
+
+
 def _monomial(x: np.ndarray, p: dict) -> np.ndarray:
     out = np.ones(x.shape[:-1])
     for i, a in enumerate(p["alpha"]):
@@ -164,9 +167,10 @@ def _monomial(x: np.ndarray, p: dict) -> np.ndarray:
 class SymbolSpec:
     """One catalog entry, the only place that lists the symbol.
 
-    check(params, n) validates catalog parameters and returns them with
-    normalized types; from_cli(kv, n) pops the CLI key=value pairs it
-    reads at dimension n and maps them to catalog parameters;
+    check(params, n) owns every rule on parameter values (after `NamedSymbol`
+    rejects non-finite numbers) and returns them with normalized types;
+    from_cli(kv, n) only maps keys: it pops the CLI key=value pairs it
+    reads at dimension n and names the catalog parameters they give;
     formula(points, params) evaluates at (..., n) points, which may be a
     strided view whose coordinates are contiguous blocks: it reads the
     coordinates through the last axis and does not reshape the cloud to
@@ -203,17 +207,16 @@ SYMBOL_SPECS: dict[str, SymbolSpec] = {
         ("boxind",), _positive("a"), _cli_scalar("a"),
         lambda x, p: (np.max(np.abs(x), axis=-1) <= p["a"]).astype(complex), kink=True),
     "riesz": SymbolSpec(
-        ("riesz",), _check_riesz, lambda kv, n: {"j": _cli_int(kv, "j", 1)}, _riesz),
+        ("riesz",), _check_riesz, _cli_scalar("j"), _riesz),
     "bochner_riesz": SymbolSpec(
         ("bochnerriesz",), _check_bochner_riesz, _cli_scalar("delta"),
         lambda x, p: (np.clip(1.0 - np.sum(x**2, axis=-1), 0.0, None) ** p["delta"]).astype(complex)),
     "monomial": SymbolSpec(
         ("monomial",), _check_monomial,
-        lambda kv, n: {"alpha": tuple(_cli_int(kv, f"a{i + 1}", 0) for i in range(n))}, _monomial),
+        lambda kv, n: {"alpha": tuple(kv.pop(f"a{i + 1}", 0) for i in range(n))}, _monomial),
     "modulation": SymbolSpec(
         ("modulation",), _check_modulation,
-        lambda kv, n: {"a": tuple(kv.pop(f"a{i + 1}", 0.0) for i in range(n))},
-        lambda x, p: np.exp(1j * np.tensordot(x, np.asarray(p["a"]), axes=([-1], [0])))),
+        lambda kv, n: {"a": tuple(kv.pop(f"a{i + 1}", 0.0) for i in range(n))}, _modulation),
 }
 
 
@@ -221,7 +224,8 @@ SYMBOL_SPECS: dict[str, SymbolSpec] = {
 class NamedSymbol(Symbol):
     """Closed-form catalog symbol; the catalog is `SYMBOL_SPECS`.
 
-    Parameters are validated and type-normalized on construction.  The
+    Parameters are validated and type-normalized on construction: every
+    numeric parameter must be finite, then the spec's `check` applies.  The
     Riesz symbol xi_j/|xi| is assigned the value 0 at the origin, which
     keeps its odd symmetry exact on symmetric node sets.
     """
@@ -231,8 +235,12 @@ class NamedSymbol(Symbol):
     n: int
 
     def __post_init__(self):
-        _require(self.n in (1, 2, 3), f"dimension must be 1, 2 or 3, got {self.n}")
+        _check_dimension(self.n)
         _require(self.name in SYMBOL_SPECS, f"unknown symbol name {self.name!r}")
+        for key, value in self.params.items():
+            value = np.asarray(value)
+            _require(value.dtype.kind not in "fc" or np.all(np.isfinite(value)),
+                     f"parameter {key} must be finite, got {value.tolist()}")
         object.__setattr__(self, "params", SYMBOL_SPECS[self.name].check(self.params, self.n))
 
     @property
@@ -302,6 +310,7 @@ class RadialSymbol(Symbol):
     n: int
 
     def __post_init__(self):
+        _check_dimension(self.n)
         radii = np.asarray(self.radii, dtype=float)
         values = np.asarray(self.values, dtype=complex)
         if radii.ndim != 1 or radii.size < 2:
@@ -375,8 +384,6 @@ def parse_symbol_spec(spec: str, n: int) -> NamedSymbol:
                 kv[key.strip()] = float(val)
             except ValueError:
                 raise SymbolSpecError(spec, pos + len(key) + 1, f"bad number {val!r}") from None
-            if not np.isfinite(kv[key.strip()]):
-                raise SymbolSpecError(spec, pos + len(key) + 1, f"value {val!r} is not finite")
             pos += len(item) + 1
     name = _CLI_NAMES[head]
     try:

@@ -40,23 +40,23 @@ from .symbols import RadialSymbol, SampledSymbol, eval_symbol, make_named_symbol
 __all__ = ["CheckResult", "VerifyConfig", "reference_catalog", "run_all", "CRITERIA"]
 
 
-def reference_catalog(n: int) -> list[tuple[str, object]]:
-    """The reference-parameter symbol catalog used by all catalog-wide checks."""
+def reference_catalog(n: int) -> dict[str, object]:
+    """The reference-parameter symbol catalog used by all catalog-wide checks, by label."""
     diag = [1.0, 4.0, 2.0][:n]
     alpha = (2,) + (0,) * (n - 1)
     shift = (1.0,) + (0.0,) * (n - 1)
-    return [
-        ("const", make_named_symbol("constant", {"c": 1.0}, n)),
-        ("heat", make_named_symbol("heat", {"t": 1.0}, n)),
-        ("poisson", make_named_symbol("poisson", {"t": 1.0}, n)),
-        ("gaussaniso", make_named_symbol("gaussian_aniso", {"A": np.diag(diag)}, n)),
-        ("ballind", make_named_symbol("ball_indicator", {"rho": 1.0}, n)),
-        ("boxind", make_named_symbol("box_indicator", {"a": 1.0}, n)),
-        ("riesz", make_named_symbol("riesz", {"j": 1}, n)),
-        ("bochnerriesz", make_named_symbol("bochner_riesz", {"delta": 1.0}, n)),
-        ("monomial", make_named_symbol("monomial", {"alpha": alpha}, n)),
-        ("modulation", make_named_symbol("modulation", {"a": shift}, n)),
-    ]
+    return {
+        "const": make_named_symbol("constant", {"c": 1.0}, n),
+        "heat": make_named_symbol("heat", {"t": 1.0}, n),
+        "poisson": make_named_symbol("poisson", {"t": 1.0}, n),
+        "gaussaniso": make_named_symbol("gaussian_aniso", {"A": np.diag(diag)}, n),
+        "ballind": make_named_symbol("ball_indicator", {"rho": 1.0}, n),
+        "boxind": make_named_symbol("box_indicator", {"a": 1.0}, n),
+        "riesz": make_named_symbol("riesz", {"j": 1}, n),
+        "bochnerriesz": make_named_symbol("bochner_riesz", {"delta": 1.0}, n),
+        "monomial": make_named_symbol("monomial", {"alpha": alpha}, n),
+        "modulation": make_named_symbol("modulation", {"a": shift}, n),
+    }
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,14 @@ class _Context:
         self._proj: dict[tuple, RadialSymbol] = {}
 
     def sq_for(self, label: str):
-        phi = dict(self.catalog)[label]
+        phi = self.catalog[label]
         return self.rules[default_order(phi, self.cfg.smooth_order, self.cfg.indicator_order)]
 
     def projection(self, label: str, grid=None) -> RadialSymbol:
         """Projection of a catalog symbol on the lattice radii of `grid` (default: main grid)."""
         grid = grid or self.grid
         if (label, grid) not in self._proj:
-            phi, radii = dict(self.catalog)[label], default_radii(grid)
+            phi, radii = self.catalog[label], default_radii(grid)
             self._proj[label, grid] = project(phi, radii, self.sq_for(label))
         return self._proj[label, grid]
 
@@ -128,7 +128,7 @@ def check_fixed_point(ctx: _Context) -> CheckResult:
     ok = True
     kink_halfwidth = 2.0 * ctx.grid.dxi
     for label in ("heat", "poisson", "ballind"):
-        phi = dict(ctx.catalog)[label]
+        phi = ctx.catalog[label]
         proj = ctx.projection(label)
         radii = proj.radii
         direct = phi.evaluate(radii[:, None] * np.eye(ctx.cfg.n)[0])  # points (r, 0, ...)
@@ -146,7 +146,7 @@ def check_radiality(ctx: _Context) -> CheckResult:
     details = {}
     ok = True
     rng = np.random.default_rng(ctx.cfg.seed)
-    for label, _ in ctx.catalog:
+    for label in ctx.catalog:
         proj = ctx.projection(label)
         dev = radiality(proj, ctx.grid)
         rot_dev = 0.0
@@ -170,7 +170,7 @@ def check_contractivity_exact(ctx: _Context) -> CheckResult:
     """Sup bound at p = 2 for every symbol; kernel mass ordering for positive kernels."""
     details = {}
     ok = True
-    for label, phi in ctx.catalog:
+    for label, phi in ctx.catalog.items():
         op = MultiplierOperator(phi, ctx.grid)
         proj_op = MultiplierOperator(ctx.projection(label), ctx.grid)
         sup_orig, sup_proj = norm_p2_exact(op).value, norm_p2_exact(proj_op).value
@@ -196,7 +196,7 @@ def check_contractivity_estimates(ctx: _Context) -> CheckResult:
     details = {}
     ok = True
     grid = ctx.grid_small
-    for label, phi in ctx.catalog:
+    for label, phi in ctx.catalog.items():
         upper = norm_upper_kernel(MultiplierOperator(phi, grid)).value
         proj_op = MultiplierOperator(ctx.projection(label, grid), grid)
         for p in (1.5, 3.0, 4.0):
@@ -213,7 +213,7 @@ def check_positivity_preservation(ctx: _Context) -> CheckResult:
     rng = np.random.default_rng(ctx.cfg.seed)
     iso = make_named_symbol("gaussian_aniso", {"A": np.eye(ctx.cfg.n)}, ctx.cfg.n)
     cases = [
-        ("heat", dict(ctx.catalog)["heat"], ctx.projection("heat")),
+        ("heat", ctx.catalog["heat"], ctx.projection("heat")),
         ("gaussiso", iso, project(iso, ctx.radii, ctx.rules[ctx.cfg.smooth_order])),
     ]
     for label, phi, proj in cases:
@@ -244,8 +244,7 @@ def _conjugation_max_dev(grid, phi, rotations, rng) -> float:
         lhs = conjugated_apply(op, R, f)
         rhs = apply(rot_op, f)
         dev = max(dev, float(np.max(np.abs(lhs.values - rhs.values))))
-        one_node = subgroup_quadrature([R])
-        lhs_v = average_conjugated(op, one_node, F)
+        lhs_v = conjugated_apply(op, R, F)
         rhs_v = apply(rot_op, F)
         dev = max(dev, float(np.max(np.abs(lhs_v.values - rhs_v.values))))
     return dev
@@ -265,7 +264,7 @@ def check_conjugation_identity(ctx: _Context) -> CheckResult:
 
 def check_q_vs_p(ctx: _Context) -> CheckResult:
     """Operator-side average agrees with the symbol-side projection."""
-    phi = dict(ctx.catalog)["gaussaniso"]
+    phi = ctx.catalog["gaussaniso"]
     op = MultiplierOperator(phi, ctx.grid)
     rng = np.random.default_rng(ctx.cfg.seed)
     # exact mode: lattice-group average vs the group-averaged sampled symbol
@@ -296,7 +295,7 @@ def check_quadrature_convergence(ctx: _Context) -> CheckResult:
     The n = 1 rule {+1, -1} is exact at every order, so there each error
     must be exactly zero instead of strictly decreasing.
     """
-    phi = dict(ctx.catalog)["gaussaniso"]
+    phi = ctx.catalog["gaussaniso"]
     oracle = ctx.rules[ctx.cfg.indicator_order]
     errors = convergence_errors(phi, 2.0, CONVERGENCE_ORDERS, oracle)
     if ctx.cfg.n == 1:
@@ -333,7 +332,7 @@ def check_norm_sanity(ctx: _Context) -> CheckResult:
     ok = True
     grid = ctx.grid_small
     for label in ("heat", "riesz"):
-        phi = dict(ctx.catalog)[label]
+        phi = ctx.catalog[label]
         op = MultiplierOperator(phi, grid)
         exact = norm_p2_exact(op).value
         lower = norm_lower_power(op, 2.0, trials=4, iters=5000, seed=ctx.cfg.seed).value
@@ -356,7 +355,7 @@ def check_norm_sanity(ctx: _Context) -> CheckResult:
 
 def check_vector_contraction(ctx: _Context) -> CheckResult:
     """||Q F|| <= kernel-mass(phi) ||F|| for fiber spaces l_q^3."""
-    phi = dict(ctx.catalog)["gaussaniso"]
+    phi = ctx.catalog["gaussaniso"]
     op = MultiplierOperator(phi, ctx.grid)
     upper = norm_upper_kernel(op).value
     rq = subgroup_quadrature(lattice_group(ctx.cfg.n))

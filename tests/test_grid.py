@@ -5,8 +5,14 @@ import pytest
 
 from radialmult import (
     GridFunction,
+    RadialSymbol,
+    haar_rotation,
+    lattice_group,
     lp_norm,
     make_grid,
+    make_named_symbol,
+    so_quadrature,
+    sphere_quadrature,
     transform,
 )
 from radialmult import grid as grid_module
@@ -43,6 +49,23 @@ def test_make_grid_validation():
         for n, N, L in BAD_GRIDS:
             with pytest.raises(ValueError):
                 build(n, N, L)
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_every_constructor_rejects_a_dimension_outside_1_to_3(n):
+    rng = np.random.default_rng(0)
+    builders = [
+        lambda: make_grid(n, 8, 4.0),
+        lambda: make_named_symbol("heat", {"t": 1.0}, n),
+        lambda: RadialSymbol(np.array([0.0, 1.0]), np.array([1.0, 0.0]), n),
+        lambda: haar_rotation(n, rng),
+        lambda: so_quadrature(n, 4),
+        lambda: sphere_quadrature(n, 4),
+        lambda: lattice_group(n),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match=rf"^dimension must be 1, 2 or 3, got {n}$"):
+            build()
 
 
 def test_grid_fields_are_normalized():

@@ -237,7 +237,7 @@ def test_kernel_is_the_inverse_transform_of_the_sampled_symbol():
     # the physical inverse scaling has one definition, the grid's
     for n, N in ((1, 32), (2, 16), (3, 8)):
         g = make_grid(n, N, 8.0)
-        for label, phi in reference_catalog(n):
+        for label, phi in reference_catalog(n).items():
             op = MultiplierOperator(phi, g)
             want = transform(GridFunction(g, op.sampled, domain="frequency"), "inverse")
             assert np.array_equal(kernel(op).values, want.values), label

@@ -225,6 +225,15 @@ def test_phase_is_the_quotient_and_zero_where_magnitude_is_not_positive():
     assert (~live).sum() == 66 and not np.isnan(got).any()  # 64 zeros, 2 NaNs
 
 
+def test_phase_of_a_subnormal_is_a_unit_phase():
+    # 1/|y| overflows below the smallest normal magnitude; the entries are rescaled first
+    y = np.array([1e-310 + 0j, 3e-310 - 4e-310j, 5e-324j, 0.0, np.nan, 3.0 + 4.0j])
+    with np.errstate(all="raise"):
+        got = norms._phase(y, np.abs(y))
+    np.testing.assert_allclose(got[:3], [1.0, 0.6 - 0.8j, 1j], rtol=0, atol=1e-12)
+    assert np.array_equal(got[3:], [0.0, 0.0, y[5] / 5.0])
+
+
 def _power_one_trial_at_a_time(op, p, trials, iters, seed):
     """The power iteration run trial by trial, as the definition reads.
 
@@ -286,7 +295,7 @@ def _assert_matches_one_trial_at_a_time(op, p, trials, iters, seed):
 def test_stacked_power_iteration_is_bitwise_the_trial_loop(p, trials):
     g = make_grid(2, 16, 8.0)
     sq = sphere_quadrature(2, 64)
-    for label, phi in reference_catalog(2):
+    for label, phi in reference_catalog(2).items():
         projected = project(phi, default_radii(g), sq)
         for symbol in (phi, projected):
             op = MultiplierOperator(symbol, g)
@@ -317,10 +326,10 @@ def test_stacked_power_iteration_zero_operator():
     seed=st.integers(0, 2**32 - 1),
     p=st.floats(1.1, 6.0),
     trials=st.integers(1, 5),
-    label=st.sampled_from([label for label, _ in reference_catalog(2)]),
+    label=st.sampled_from(list(reference_catalog(2))),
     n=st.sampled_from([1, 2]),
 )
 def test_stacked_power_iteration_property(seed, p, trials, label, n):
     g = make_grid(n, 8 if n == 2 else 16, 4.0)
-    op = MultiplierOperator(dict(reference_catalog(n))[label], g)
+    op = MultiplierOperator(reference_catalog(n)[label], g)
     _assert_matches_one_trial_at_a_time(op, p, trials, 30, seed)

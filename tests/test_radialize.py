@@ -30,13 +30,13 @@ SQ256 = sphere_quadrature(2, 256)
 
 def test_default_order_is_the_indicator_order_exactly_for_kinked_symbols():
     catalog = reference_catalog(2)
-    assert {phi.name for _, phi in catalog} == set(SYMBOL_SPECS)
-    for _, phi in catalog:
+    assert {phi.name for phi in catalog.values()} == set(SYMBOL_SPECS)
+    for phi in catalog.values():
         kinked = SYMBOL_SPECS[phi.name].kink
         assert default_order(phi) == (INDICATOR_ORDER if kinked else SMOOTH_ORDER)
         assert default_order(phi, smooth=3, indicator=5) == (5 if kinked else 3)
     # samples and projections carry no kink flag, even of a kinked symbol
-    ball = dict(catalog)["ballind"]
+    ball = catalog["ballind"]
     g = make_grid(2, 8, 4.0)
     assert default_order(sample_symbol(ball, g), smooth=3, indicator=5) == 3
     assert default_order(project(ball, default_radii(g), SQ256), smooth=3, indicator=5) == 3
@@ -277,7 +277,7 @@ def test_project_means_are_bitwise_the_one_radius_means(n, N, L, order):
     sq = sphere_quadrature(n, order)
     weights = sq.weights.astype(complex)
     radii = default_radii(make_grid(n, N, L))
-    catalog = [phi for _, phi in reference_catalog(n)]
+    catalog = list(reference_catalog(n).values())
     assert {phi.name for phi in catalog} == set(SYMBOL_SPECS)
     for phi in catalog:
         proj = project(phi, radii, sq)

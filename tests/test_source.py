@@ -113,3 +113,9 @@ def test_symbol_formulas_call_no_einsum():
         if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "einsum"
     ]
     assert not found, found
+
+
+def test_the_dimension_rule_is_written_once():
+    # every layer calls the grid's `_check_dimension` instead of its own copy
+    count = sum(path.read_text().count("dimension must be 1, 2 or 3") for path in SOURCES)
+    assert count == 1, count

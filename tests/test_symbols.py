@@ -66,6 +66,42 @@ def test_invalid_parameters_rejected():
         make_named_symbol("gaussian_aniso", {"A": np.array([[1.0, 3.0], [3.0, 1.0]])}, 2)
 
 
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("constant", {"c": np.nan}),
+        ("constant", {"c": np.inf}),
+        ("heat", {"t": np.inf}),
+        ("poisson", {"t": np.inf}),
+        ("ball_indicator", {"rho": np.inf}),
+        ("box_indicator", {"a": np.inf}),
+        ("bochner_riesz", {"delta": np.inf}),
+        ("modulation", {"a": (np.nan, 0.0)}),
+        ("gaussian_aniso", {"A": np.array([[1.0, np.inf], [np.inf, 1.0]])}),
+        ("gaussian_aniso", {"A": np.array([[1.0, 0.0], [0.0, np.nan]])}),
+    ],
+)
+def test_non_finite_parameters_rejected(name, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        make_named_symbol(name, params, 2)
+
+
+@pytest.mark.parametrize(
+    "name,params", [("riesz", {"j": 1.5}), ("monomial", {"alpha": (1.7, 0)})]
+)
+def test_non_integral_parameters_rejected(name, params):
+    with pytest.raises(ValueError, match="integer"):
+        make_named_symbol(name, params, 2)
+
+
+def test_integral_parameters_normalized_to_int():
+    riesz = make_named_symbol("riesz", {"j": np.int64(2)}, 2)
+    monomial = make_named_symbol("monomial", {"alpha": (2.0, np.int64(1))}, 2)
+    assert riesz.params == {"j": 2} and type(riesz.params["j"]) is int
+    assert monomial.params == {"alpha": (2, 1)}
+    assert all(type(a) is int for a in monomial.params["alpha"])
+
+
 def test_riesz_bounded_by_one():
     phi = make_named_symbol("riesz", {"j": 2}, 2)
     rng = np.random.default_rng(0)
@@ -114,8 +150,10 @@ def test_one_symbol_value_per_point(n):
     # a point alone gets the bits it has inside a batch, whatever the batch layout
     rng = np.random.default_rng(n)
     full = make_named_symbol("gaussian_aniso", {"A": _spd(rng, n)}, n)
+    shifted = make_named_symbol("modulation", {"a": rng.uniform(-3.0, 3.0, n)}, n)
     clouds = _both_layouts(rng.standard_normal((30, 70, n)) * 2.0)
-    for label, phi in reference_catalog(n) + [("gaussaniso-full", full)]:
+    extra = {"gaussaniso-full": full, "modulation-shifted": shifted}
+    for label, phi in {**reference_catalog(n), **extra}.items():
         alone = np.array([eval_symbol(phi, xi) for xi in clouds[0].reshape(-1, n)])
         for cloud in clouds:
             assert np.array_equal(phi.evaluate(cloud).ravel(), alone), label
