@@ -51,7 +51,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and np.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -76,11 +76,17 @@ def _write_csv(path: str, cfg: argparse.Namespace, columns: list[str], rows: lis
 
 
 def _write_json(path: str, cfg: argparse.Namespace, payload: dict):
+    """Write the document as strict JSON.
+
+    `_jsonable` writes an infinite number as "inf" or "-inf", and a NaN
+    raises `ValueError` before the file is opened, so no file holds a
+    `NaN` or `Infinity` token.
+    """
     doc = {"version": __version__, "config": _config(cfg)}
     doc.update(_jsonable(payload))
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_profile(path: str, cfg: argparse.Namespace, proj) -> None:

@@ -212,7 +212,7 @@ def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndar
     fiber = values.ndim - stack - symbol.ndim
     axes = tuple(range(stack, stack + symbol.ndim))
     spectrum = np.fft.fftn(values, s=symbol.shape, axes=axes)
-    spectrum *= symbol.reshape(symbol.shape + (1,) * fiber)  # in place: one spectrum alive
+    spectrum *= symbol.reshape(symbol.shape + (1,) * fiber)  # in place: no product buffer
     return np.fft.ifftn(spectrum, s=symbol.shape, axes=axes)
 
 

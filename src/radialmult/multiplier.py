@@ -122,7 +122,7 @@ class PositivityReport:
     max_imag: float
     tol: float
     verdict: str  # positive | not-positive
-    reason: str  # ok | negative-kernel | complex-kernel
+    reason: str  # ok | non-finite-kernel | negative-kernel | complex-kernel
 
 
 def positivity_report(op: MultiplierOperator, tol: float = 1e-10) -> PositivityReport:
@@ -131,13 +131,16 @@ def positivity_report(op: MultiplierOperator, tol: float = 1e-10) -> PositivityR
     A complex kernel residue above tol forces a not-positive verdict
     with its own reason code: a positive operator must have a real
     kernel, and silently dropping the imaginary part would mask symbol
-    asymmetry bugs.
+    asymmetry bugs.  A kernel with a NaN or infinite entry certifies
+    nothing, so it is not positive either, whatever its other entries.
     """
     if not 0.0 <= tol < np.inf:  # NaN fails too
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     K = kernel(op).values
     min_kernel = float(np.min(K.real))
     max_imag = float(np.max(np.abs(K.imag)))
+    if not np.all(np.isfinite(K)):
+        return PositivityReport(min_kernel, max_imag, tol, "not-positive", "non-finite-kernel")
     if max_imag > tol:
         return PositivityReport(min_kernel, max_imag, tol, "not-positive", "complex-kernel")
     if min_kernel < -tol:

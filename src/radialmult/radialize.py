@@ -55,7 +55,11 @@ RADIALITY_ORDER = 8
 #: Sphere orders whose means `convergence_errors` compares with an oracle rule.
 CONVERGENCE_ORDERS = (8, 16, 32, 64)
 #: Largest number of points phi is evaluated at in one sphere-mean batch.
-_SPHERE_BATCH_POINTS = 2**20
+#: It bounds a projection's traced peak memory by the batch: 3.6 MiB for
+#: the box indicator at n = 2, order 4096, and 5.0 MiB for an n = 3
+#: Gaussian at order 256 (47.3 and 65.0 MiB at 2^20).  A radius with more
+#: nodes is still one batch of its own.
+_SPHERE_BATCH_POINTS = 2**16
 
 
 def default_radii(grid: FrequencyGrid) -> np.ndarray:
@@ -105,12 +109,18 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     """Average of phi over the sphere of each radius; phi(0) exactly at r = 0.
 
     Positive radii are evaluated in batches of whole radii, at most
-    `_SPHERE_BATCH_POINTS` points each, on the coordinate-major points of
-    `_sphere_points`; each batch's points are made inside the `evaluate`
-    call, so they are freed before the next batch is built.  Each
-    radius's row is then reduced by its own dot product: a matrix-vector
-    product rounds differently from a dot product, which would make a
-    radius's mean depend on how many radii share the call.
+    `_SPHERE_BATCH_POINTS` = 2^16 points each, on the coordinate-major
+    points of `_sphere_points`; each batch's points are made inside the
+    `evaluate` call, so they are freed before the next batch is built.
+    The budget bounds the kernel's peak memory by the batch, not by the
+    number of radii (see `_SPHERE_BATCH_POINTS` for the traced peaks); a
+    radius with more nodes is still one batch, since splitting it would
+    change its rounding.
+    Each radius's row is then reduced by its own dot product: a
+    matrix-vector product rounds differently from a dot product, which
+    would make a radius's mean depend on how many radii share the call.
+    A symbol that is not finite at some point of a sphere raises
+    `ArithmeticError` naming the radius, so no mean is NaN or infinite.
     """
     _require_pointwise(phi)
     if phi.n != sq.n:
@@ -128,10 +138,14 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     for start in range(0, len(positive), step):
         batch = positive[start:start + step]
         vals = phi.evaluate(_sphere_points(radii[batch], sq))  # (K, m)
+        largest = np.max(np.abs(vals), axis=1)  # NaN where a row has one
+        nonfinite = ~np.isfinite(largest)
+        if nonfinite.any():
+            r = float(radii[batch][nonfinite][0])
+            raise ArithmeticError(f"symbol is not finite on the sphere of radius {r}")
         means[batch] = [np.dot(row, weights) for row in vals]
         # convex-average bound, the mechanism behind contractivity at p = 2;
         # the slack is relative above 1 because a dot product rounds relatively
-        largest = np.max(np.abs(vals), axis=1)
         if np.any(np.abs(means[batch]) > largest + 1e-13 * np.maximum(1.0, largest)):
             raise ArithmeticError("sphere mean exceeds the largest sampled value")
     return means

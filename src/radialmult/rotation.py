@@ -48,6 +48,7 @@ class Rotation:
     M: np.ndarray
 
     def __post_init__(self):
+        _check_dimension(self.n)
         M = np.asarray(self.M, dtype=float)
         if M.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n}x{self.n}, got {M.shape}")
@@ -89,6 +90,7 @@ class SphereQuadrature:
     weights: np.ndarray
 
     def __post_init__(self):
+        _check_dimension(self.n)
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != self.n:
@@ -103,7 +105,7 @@ class SphereQuadrature:
 
 def haar_rotation(n: int, rng: np.random.Generator) -> Rotation:
     """Draw a Haar-uniform rotation from a seeded generator."""
-    _check_dimension(n)
+    _check_dimension(n)  # before the draw, which rejects n < 0 in its own words
     if n == 1:
         return Rotation(1, np.eye(1))
     G = rng.standard_normal((n, n))
@@ -204,6 +206,8 @@ def lattice_group(n: int) -> list[Rotation]:
     (i, i+1), so at n = 2 the list runs through the turns by 0, 90, 180
     and 270 degrees.
     """
+    # before the walk: np.eye rejects n < 0 in its own words, and the walk
+    # would build all 2^(n-1) n! elements before `Rotation` rejects one
     _check_dimension(n)
     turns = [np.eye(n, dtype=int) for _ in range(n - 1)]
     for i, T in enumerate(turns):

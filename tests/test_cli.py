@@ -1,5 +1,6 @@
 """CLI subcommands: artifacts, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import os
@@ -305,3 +306,36 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ValueError: permutation matrix must be 1x1")
     assert "Traceback" in err and "in broken" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["positivity", "--symbol", "monomial:a1=400", "--grid", "16", "--extent", "8"],
+        ["radialize", "--symbol", "monomial:a1=400", "--grid", "16", "--extent", "8"],
+        ["radialize", "--symbol", "modulation:a1=1e308,a2=0", "--grid", "16", "--extent", "8"],
+        ["converge", "--symbol", "monomial:a1=400", "--r", "100", "--orders", "8,16"],
+    ],
+)
+def test_non_finite_symbol_values_exit_3(tmp_path, capsys, argv):
+    # xi_1^400 and 1e308 * xi_1 overflow on these spheres; a mean, verdict or
+    # error computed from them would be NaN, so the run fails before writing
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([*argv, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "internal error: ArithmeticError: symbol is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_files_hold_no_nan_or_infinity_token(tmp_path):
+    def strict(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    cfg = argparse.Namespace(command="demo")
+    path = tmp_path / "doc.json"
+    cli._write_json(str(path), cfg, {"up": np.float64("inf"), "down": [-np.inf], "x": np.float64(0.5)})
+    doc = json.loads(path.read_text(), parse_constant=strict)
+    assert (doc["up"], doc["down"], doc["x"]) == ("inf", ["-inf"], 0.5)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(str(tmp_path / "nan.json"), cfg, {"x": np.float64("nan")})
+    assert not (tmp_path / "nan.json").exists()

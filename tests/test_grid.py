@@ -6,6 +6,8 @@ import pytest
 from radialmult import (
     GridFunction,
     RadialSymbol,
+    Rotation,
+    SphereQuadrature,
     haar_rotation,
     lattice_group,
     lp_norm,
@@ -51,8 +53,10 @@ def test_make_grid_validation():
                 build(n, N, L)
 
 
-@pytest.mark.parametrize("n", [0, 4])
+@pytest.mark.parametrize("n", [-1, 0, 4])
 def test_every_constructor_rejects_a_dimension_outside_1_to_3(n):
+    # at n = -1 the rule must come before any array of that shape: numpy
+    # rejects negative dimensions with a message of its own
     rng = np.random.default_rng(0)
     builders = [
         lambda: make_grid(n, 8, 4.0),
@@ -62,6 +66,8 @@ def test_every_constructor_rejects_a_dimension_outside_1_to_3(n):
         lambda: so_quadrature(n, 4),
         lambda: sphere_quadrature(n, 4),
         lambda: lattice_group(n),
+        lambda: Rotation(n, np.eye(abs(n))),
+        lambda: SphereQuadrature(n, np.eye(abs(n)), np.full(abs(n), 0.25)),
     ]
     for build in builders:
         with pytest.raises(ValueError, match=rf"^dimension must be 1, 2 or 3, got {n}$"):

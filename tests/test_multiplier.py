@@ -9,6 +9,7 @@ from radialmult import (
     GridFunction,
     MultiplierOperator,
     Rotation,
+    SampledSymbol,
     apply,
     average_conjugated,
     conjugated_apply,
@@ -279,6 +280,16 @@ def test_positivity_complex_kernel_reason():
     op = MultiplierOperator(make_named_symbol("modulation", {"a": (0.3,)}, 1), g)
     rep = positivity_report(op)
     assert rep.verdict == "not-positive" and rep.reason == "complex-kernel"
+
+
+def test_positivity_non_finite_kernel_reason():
+    # one NaN sample makes every kernel entry NaN, which no sign rule may call positive
+    g = make_grid(2, 16, 8.0)
+    values = sample_symbol(make_named_symbol("heat", {"t": 1.0}, 2), g).values.copy()
+    assert positivity_report(MultiplierOperator(SampledSymbol(g, values), g)).verdict == "positive"
+    values[3, 5] = np.nan
+    rep = positivity_report(MultiplierOperator(SampledSymbol(g, values), g))
+    assert rep.verdict == "not-positive" and rep.reason == "non-finite-kernel"
 
 
 def test_positivity_rejects_nan_tolerance():

@@ -21,7 +21,7 @@ from radialmult import (
 )
 from radialmult.radialize import INDICATOR_ORDER, SMOOTH_ORDER, default_order, default_radii
 from radialmult.rotation import subgroup_quadrature, Rotation
-from radialmult.symbols import SYMBOL_SPECS
+from radialmult.symbols import SYMBOL_SPECS, NamedSymbol
 from radialmult.verification import reference_catalog
 
 
@@ -266,6 +266,50 @@ def test_sphere_means_are_bitwise_those_of_one_batch(monkeypatch):
                 assert max(spy.sizes) <= max(budget, m)  # at least one radius per batch
                 assert sum(spy.sizes) == 1 + (len(radii) - 1) * m  # the origin, then every sphere
                 monkeypatch.undo()
+
+
+def _box_and_gaussian_projections():
+    """The two projections whose sphere means dominate the CLI's peak memory."""
+    box = make_named_symbol("box_indicator", {"a": 1.0}, 2)
+    gauss = make_named_symbol("gaussian_aniso", {"A": np.diag([1.0, 4.0, 2.0])}, 3)
+    return [
+        (box, default_radii(make_grid(2, 64, 16.0)), sphere_quadrature(2, INDICATOR_ORDER)),
+        (gauss, default_radii(make_grid(3, 16, 8.0)), sphere_quadrature(3, SMOOTH_ORDER)),
+    ]
+
+
+def test_sphere_batches_hold_at_most_2_16_points(monkeypatch):
+    sizes = []
+    evaluate = NamedSymbol.evaluate
+
+    def spy(self, points):
+        sizes.append(points[..., 0].size)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(NamedSymbol, "evaluate", spy)
+    (box, radii2, sq2), (gauss, radii3, sq3) = _box_and_gaussian_projections()
+    project(box, radii2, sq2)
+    assert len(sq2.weights) < max(sizes) <= 2**16
+    sizes.clear()
+    project(gauss, radii3, sq3)
+    # 2^16 nodes per radius at n = 3, order 256: one radius per call, after the origin
+    assert sizes == [1] + [len(sq3.weights)] * (len(radii3) - 1)
+
+
+def test_projection_peak_memory_is_bounded_by_the_batch(traced_peak_mib):
+    # 2^20-point batches peaked at 47.3 and 65.0 MiB
+    (box, radii2, sq2), (gauss, radii3, sq3) = _box_and_gaussian_projections()
+    assert traced_peak_mib(project, box, radii2, sq2) <= 8
+    assert traced_peak_mib(project, gauss, radii3, sq3) <= 10
+
+
+def test_non_finite_symbol_values_raise_naming_the_radius():
+    # xi_1^400 overflows on the sphere of radius 7 (7^400 ~ 1e338), not of radius 5
+    phi = make_named_symbol("monomial", {"alpha": (400, 0)}, 2)
+    with np.errstate(over="ignore"), pytest.raises(
+        ArithmeticError, match=r"^symbol is not finite on the sphere of radius 7\.0$"
+    ):
+        project(phi, np.array([0.0, 1.0, 5.0, 7.0, 9.0]), sphere_quadrature(2, 16))
 
 
 @pytest.mark.parametrize("n,N,L,order", [(1, 32, 8.0, 8), (2, 32, 8.0, 256), (3, 16, 8.0, 64)])
