@@ -3,12 +3,14 @@
 Interpolation-mode rotation uses a periodic cubic B-spline: the spline
 coefficients come from an FFT prefilter (the Fourier multiplier 1/B,
 B the B-spline frequency response; exact on a periodic grid) and
-evaluation sums 4^n weighted taps per output point.  Each axis gets a
-table of its four wrapped tap offsets in the flattened coefficient
-array, so each of the 4^n corners is one flat `take` at a sum of table
-entries.  Fourth-order accuracy is needed to keep the rotation-average
-comparisons inside their stated tolerances; bilinear error on
-desk-scale grids is orders of magnitude too large.
+evaluation sums 4^n weighted taps per output point.  `rotate_interp`
+gathers from coefficients, so its callers prefilter once per call and
+may fold 1/B into a symbol they apply anyway (`_prefilter_symbol`).
+Each axis gets a table of its four wrapped tap offsets in the flattened
+coefficient array, so each of the 4^n corners is one flat `take` at a
+sum of table entries.  Fourth-order accuracy is needed to keep the
+rotation-average comparisons inside their stated tolerances; bilinear
+error on desk-scale grids is orders of magnitude too large.
 
 Only the n grid axes are filtered and rotated; trailing fiber axes are
 carried, so every component of an X-valued field rotates in one call.
@@ -27,16 +29,24 @@ from .grid import _multiply
 USING_NUMBA = False
 
 
-def spline_prefilter(values: np.ndarray, n: int) -> np.ndarray:
-    """Periodic cubic B-spline coefficients of `values` over its first n axes.
+def _prefilter_symbol(N: int, n: int) -> np.ndarray:
+    """1/(B(omega_1)...B(omega_n)) on the N^n lattice in FFT order, the prefilter's multiplier.
 
     Interpolation by the spline is convolution with the sampled B3 stencil
     (1, 4, 1)/6 per axis, whose DFT is B(omega) = (2 + cos omega)/3 with
-    omega = 2 pi k / N.  The coefficients are therefore the Fourier
-    multiplier 1/(B(omega_1)...B(omega_n)) applied to the values.
+    omega = 2 pi k / N.
     """
-    inverse = 3.0 / (2.0 + np.cos(2.0 * np.pi * np.fft.fftfreq(values.shape[0])))
-    return _multiply(reduce(np.multiply.outer, [inverse] * n), values)
+    inverse = 3.0 / (2.0 + np.cos(2.0 * np.pi * np.fft.fftfreq(N)))
+    return reduce(np.multiply.outer, [inverse] * n)
+
+
+def spline_prefilter(values: np.ndarray, n: int) -> np.ndarray:
+    """Periodic cubic B-spline coefficients of `values` over its first n axes.
+
+    The coefficients are the Fourier multiplier `_prefilter_symbol`
+    applied to the values (exact on a periodic grid).
+    """
+    return _multiply(_prefilter_symbol(values.shape[0], n), values)
 
 
 def _bspline_weights(f: np.ndarray):
@@ -51,8 +61,14 @@ def _bspline_weights(f: np.ndarray):
     )
 
 
-def _spline_gather(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> np.ndarray:
-    """Evaluate the spline with coefficients `coeffs` at R @ j for every grid index j.
+def rotate_interp(values: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> np.ndarray:
+    """out[k] = the periodic cubic spline with coefficients `values`, evaluated at R x_k.
+
+    `values` are spline coefficients (`spline_prefilter` of the samples)
+    holding N = len(index_axis) points along each of their first n axes,
+    n the order of the square matrix R; trailing fiber axes are carried.
+    Rotation acts in index space (the grid spacing cancels), so the
+    spline is gathered at fractional signed indices R @ j, wrapped mod N.
 
     `taps[axis][off]` is the flat offset of the tap at floor(t) + off - 1
     along `axis`: that index wrapped mod N, times the axis's flat stride.
@@ -61,9 +77,17 @@ def _spline_gather(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) ->
     left-to-right product over the axes and `out` accumulates in that
     order.
     """
+    R = np.ascontiguousarray(R, dtype=float)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ValueError(f"rotation must be a square matrix, got shape {R.shape}")
     n = R.shape[0]
     N = len(index_axis)
-    fiber = coeffs.shape[n:]
+    grid_shape = (N,) * n
+    if values.shape[:n] != grid_shape:
+        raise ValueError(f"values must start with the grid axes {grid_shape}, got {values.shape}")
+    if N**n >= 2**31:
+        raise ValueError(f"grid of {N}^{n} points exceeds the int32 tap tables")
+    fiber = values.shape[n:]
     # each coordinate array is freed once used, so that only the weights
     # and the int32 tap tables live through the corner loop
     J = np.stack(np.meshgrid(*([index_axis] * n), indexing="ij"), axis=0).astype(float)
@@ -81,8 +105,8 @@ def _spline_gather(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) ->
         wrapped = np.mod(np.arange(-1, N + 2, dtype=np.int32), N) * np.int32(N ** (n - 1 - axis))
         taps.append(wrapped[base[axis] + offsets])
     del base
-    flat = coeffs.reshape((N**n,) + fiber)
-    out = np.zeros(coeffs.shape, dtype=complex)
+    flat = values.reshape((N**n,) + fiber)
+    out = np.zeros(values.shape, dtype=complex)
     buf = np.empty_like(out)
     for corner in range(4**n):
         offs = [corner // 4**axis % 4 for axis in range(n)]
@@ -94,26 +118,7 @@ def _spline_gather(coeffs: np.ndarray, R: np.ndarray, index_axis: np.ndarray) ->
         # cast first: numpy's mixed real * complex multiply casts the real
         # operand through a buffer anyway, more slowly
         w = w.astype(complex).reshape(w.shape + (1,) * len(fiber))
-        out += np.multiply(w, flat.take(idx, axis=0, out=buf), out=buf)
+        # every index is in range, so "wrap" wraps nothing; it spares the
+        # bounds pass and the buffered `out` of the default "raise"
+        out += np.multiply(w, flat.take(idx, axis=0, out=buf, mode="wrap"), out=buf)
     return out
-
-
-def rotate_interp(values: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> np.ndarray:
-    """out[k] = values interpolated at R x_k over the grid axes; periodic cubic spline.
-
-    Rotation acts in index space (the grid spacing cancels), so the
-    spline is gathered at fractional signed indices R @ j, wrapped
-    mod N.  `values` holds N = len(index_axis) points along each of its
-    first n axes, n the order of the square matrix R; trailing fiber axes
-    are carried.
-    """
-    R = np.ascontiguousarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError(f"rotation must be a square matrix, got shape {R.shape}")
-    n = R.shape[0]
-    grid_shape = (len(index_axis),) * n
-    if values.shape[:n] != grid_shape:
-        raise ValueError(f"values must start with the grid axes {grid_shape}, got {values.shape}")
-    if len(index_axis) ** n >= 2**31:
-        raise ValueError(f"grid of {len(index_axis)}^{n} points exceeds the int32 tap tables")
-    return _spline_gather(spline_prefilter(values, n), R, index_axis)

@@ -8,7 +8,9 @@ carried through every transform, multiply and rotation unchanged.
 Rotation conjugation S_R^-1 M_phi S_R is available in two modes:
 "exact" for lattice-preserving rotations (pure index permutation,
 isometric) and "interp" for general rotations (periodic cubic-spline
-interpolation, tolerance-based assertions only).
+interpolation, tolerance-based assertions only).  An interp-mode
+average prefilters f once per call and applies the symbol with the
+spline response 1/B folded in, so each node costs one transform pair.
 
 Positivity is decided through the convolution kernel K = F^-1 phi: the
 operator matrix has entries K(x_k - x_l), so the operator maps
@@ -69,23 +71,37 @@ def apply(op: MultiplierOperator, f: GridFunction) -> GridFunction:
 apply_vector = apply
 
 
+def _rotation_source(f: GridFunction, rotations, mode: str) -> np.ndarray:
+    """What `_rotate_values` gathers from: f's values, or in interp mode their spline coefficients.
+
+    Every rotation's dimension and the mode are checked first, before
+    any transform; the interp prefilter then runs once per call, not once
+    per rotation.
+    """
+    if any(R.n != f.grid.n for R in rotations):
+        raise ValueError("rotation dimension does not match grid")
+    if mode == "exact":
+        return f.values
+    if mode == "interp":
+        return _kernels.spline_prefilter(f.values, f.grid.n)
+    raise ValueError(f"mode must be 'exact' or 'interp', got {mode!r}")
+
+
 def _rotate_values(values: np.ndarray, grid: FrequencyGrid, R: Rotation, mode: str) -> np.ndarray:
     """out(x_k) = values(R x_k) over the grid axes, in grid storage order.
 
-    Trailing fiber axes are carried, so all components rotate in one call.
+    In interp mode `values` are spline coefficients (`_rotation_source`)
+    and out is their spline at R x_k.  Trailing fiber axes are carried,
+    so all components rotate in one call.
     """
-    if R.n != grid.n:
-        raise ValueError("rotation dimension does not match grid")
     if mode == "exact":
         return _permute_lattice(values, grid, R.M)
-    if mode == "interp":
-        return _kernels.rotate_interp(values, R.M, grid.index_axis())
-    raise ValueError(f"mode must be 'exact' or 'interp', got {mode!r}")
+    return _kernels.rotate_interp(values, R.M, grid.index_axis())
 
 
 def rotate_function(f: GridFunction, R: Rotation, mode: str = "exact") -> GridFunction:
     """S_R f = f(R .); exact mode is a pure index permutation and an isometry."""
-    return replace(f, values=_rotate_values(f.values, f.grid, R, mode))
+    return replace(f, values=_rotate_values(_rotation_source(f, [R], mode), f.grid, R, mode))
 
 
 def conjugated_apply(op: MultiplierOperator, R: Rotation, f: GridFunction, mode: str = "exact"):
@@ -98,13 +114,20 @@ def average_conjugated(
 ) -> GridFunction:
     """Weighted sum over rotation nodes of the conjugated operator applied to f.
 
-    The reduction runs in the fixed node order of `rq`, so results are
-    bit-reproducible.
+    Each node is one gather at R, one transform pair and one gather at
+    R^-1.  In interp mode f is prefiltered once, and the prefilter 1/B of
+    each node's product rides on the symbol: the spline coefficients of
+    M_phi g are F^-1 [(phi / B) . F g].  The reduction runs in the fixed
+    node order of `rq`, so results are bit-reproducible.
     """
     _check_operand(op, f)
+    values = _rotation_source(f, rq.rotations, mode)
+    symbol = op.sampled
+    if mode == "interp":
+        symbol = symbol * _kernels._prefilter_symbol(f.grid.N, f.grid.n)
     acc = np.zeros(f.values.shape, dtype=complex)
     for R, w in zip(rq.rotations, rq.weights):
-        multiplied = _multiply(op.sampled, _rotate_values(f.values, f.grid, R, mode))
+        multiplied = _multiply(symbol, _rotate_values(values, f.grid, R, mode))
         acc += w * _rotate_values(multiplied, f.grid, R.inverse(), mode)
     return replace(f, values=acc)
 

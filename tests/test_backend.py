@@ -1,4 +1,8 @@
-"""Periodic cubic-spline rotation: against rotated Gaussians, lattice permutations and tap sums."""
+"""Periodic cubic-spline rotation: against rotated Gaussians, lattice permutations and tap sums.
+
+`rotate_interp` gathers from spline coefficients, so each call here
+prefilters its samples with `spline_prefilter` first.
+"""
 
 import itertools
 import math
@@ -19,7 +23,8 @@ def _max_error(N, R, A, L=8.0):
     """max |rotate_interp(f)(x) - f(R x)| over the grid, for f(x) = exp(-x.Ax)."""
     g = make_grid(len(A), N, L)
     x = g.space_mesh()
-    out = _kernels.rotate_interp(_gaussian(x, A) + 0j, R, g.index_axis())
+    coeffs = _kernels.spline_prefilter(_gaussian(x, A), len(A))
+    out = _kernels.rotate_interp(coeffs, R, g.index_axis())
     return np.max(np.abs(out - _gaussian(x @ R.T, A)))
 
 
@@ -44,7 +49,7 @@ def test_rotate_interp_identity_reproduces_samples():
     g = make_grid(2, 16, 8.0)
     rng = np.random.default_rng(2)
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    out = _kernels.rotate_interp(vals, np.eye(2), g.index_axis())
+    out = _kernels.rotate_interp(_kernels.spline_prefilter(vals, 2), np.eye(2), g.index_axis())
     assert np.max(np.abs(out - vals)) <= 1e-12
 
 
@@ -58,8 +63,11 @@ def test_rotate_interp_rotates_fiber_components_as_scalars():
         g = make_grid(n, N, 8.0)
         R = haar_rotation(n, rng).M
         F = _random_field(g.shape + (3,), rng)
-        out = _kernels.rotate_interp(F, R, g.index_axis())
-        per_component = [_kernels.rotate_interp(F[..., k], R, g.index_axis()) for k in range(3)]
+        out = _kernels.rotate_interp(_kernels.spline_prefilter(F, n), R, g.index_axis())
+        per_component = [
+            _kernels.rotate_interp(_kernels.spline_prefilter(F[..., k], n), R, g.index_axis())
+            for k in range(3)
+        ]
         assert np.array_equal(out, np.stack(per_component, axis=-1))
 
 
@@ -70,8 +78,9 @@ def test_rotate_interp_lattice_rotations_match_exact_permutation():
     for n, N in [(2, 16), (3, 8)]:
         g = make_grid(n, N, 8.0)
         vals = _random_field(g.shape, rng)
+        coeffs = _kernels.spline_prefilter(vals, n)
         for R in lattice_group(n)[1:]:
-            out = _kernels.rotate_interp(vals, R.M, g.index_axis())
+            out = _kernels.rotate_interp(coeffs, R.M, g.index_axis())
             assert np.max(np.abs(out - _permute_lattice(vals, g, R.M))) <= 1e-12
 
 
@@ -103,8 +112,8 @@ def test_rotate_interp_matches_tap_by_tap_spline_evaluation():
         g = make_grid(n, N, 8.0)
         R = haar_rotation(n, rng).M
         vals = _random_field(g.shape, rng)
-        out = _kernels.rotate_interp(vals, R, g.index_axis())
         coeffs = _kernels.spline_prefilter(vals, n)
+        out = _kernels.rotate_interp(coeffs, R, g.index_axis())
         j = g.index_axis()
         for k in rng.integers(0, N, size=(6, n)):
             want = _spline_at(coeffs, R @ j[k].astype(float))

@@ -13,6 +13,7 @@ from radialmult import (
     apply,
     average_conjugated,
     conjugated_apply,
+    haar_rotation,
     kernel,
     lattice_group,
     lp_norm,
@@ -27,7 +28,9 @@ from radialmult import (
     sphere_quadrature,
     transform,
 )
+from radialmult import _kernels
 from radialmult import multiplier as multiplier_module
+from radialmult.grid import _multiply
 from radialmult.radialize import default_radii
 from radialmult.rotation import subgroup_quadrature
 from radialmult.symbols import SampledSymbol
@@ -125,6 +128,83 @@ def test_average_conjugated_interp_vector_matches_components():
         [average_conjugated(op, rq, c, mode="interp").values for c in _components(F)], axis=-1
     )
     assert np.array_equal(out.values, stacked)
+
+
+def _three_pair_average(op, rq, f):
+    """The interp average node by node, prefiltering before each gather.
+
+    Three transform pairs per node: prefilter f, apply phi, prefilter the
+    product.
+    """
+    n, ia = f.grid.n, f.grid.index_axis()
+    acc = np.zeros(f.values.shape, dtype=complex)
+    for R, w in zip(rq.rotations, rq.weights):
+        rotated = _kernels.rotate_interp(_kernels.spline_prefilter(f.values, n), R.M, ia)
+        multiplied = _multiply(op.sampled, rotated)
+        acc += w * _kernels.rotate_interp(_kernels.spline_prefilter(multiplied, n), R.inverse().M, ia)
+    return acc
+
+
+def test_average_conjugated_interp_matches_three_transform_pair_form():
+    # one prefilter per call and 1/B folded into the symbol reorder the
+    # arithmetic only, so the two forms agree to rounding
+    rng = np.random.default_rng(16)
+    cases = [
+        (make_grid(2, 16, 8.0), so_quadrature(2, 16), np.diag([1.0, 4.0])),
+        (
+            make_grid(3, 8, 8.0),
+            subgroup_quadrature([haar_rotation(3, rng) for _ in range(3)]),
+            np.diag([1.0, 4.0, 2.0]),
+        ),
+    ]
+    for g, rq, A in cases:
+        op = MultiplierOperator(make_named_symbol("gaussian_aniso", {"A": A}, g.n), g)
+        for f in (_rand_f(g, 17), _rand_vector(g, q=3.0, seed=18)):
+            out = average_conjugated(op, rq, f, mode="interp").values
+            ref = _three_pair_average(op, rq, f)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+def _count_forward_transforms(monkeypatch):
+    calls = []
+    fftn = np.fft.fftn
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", spy)
+    return calls
+
+
+def test_average_conjugated_interp_makes_one_transform_pair_per_node(monkeypatch):
+    g = make_grid(2, 16, 8.0)
+    op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 2), g)
+    f = _rand_f(g, 19)
+    calls = _count_forward_transforms(monkeypatch)
+    for m in (1, 5):
+        calls.clear()
+        average_conjugated(op, so_quadrature(2, m), f, mode="interp")
+        assert len(calls) == m + 1  # the prefilter of f, then one per node
+
+
+def test_rotation_input_checks_run_before_any_transform(monkeypatch):
+    g = make_grid(2, 16, 8.0)
+    op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 2), g)
+    f = _rand_f(g, 20)
+    mixed = subgroup_quadrature([lattice_group(2)[1], haar_rotation(3, np.random.default_rng(0))])
+    calls = _count_forward_transforms(monkeypatch)
+    for mode in ("exact", "interp"):
+        with pytest.raises(ValueError, match="dimension"):
+            average_conjugated(op, mixed, f, mode=mode)
+        with pytest.raises(ValueError, match="dimension"):
+            rotate_function(f, mixed.rotations[1], mode=mode)
+    for bad in ("cubic", "Interp", None):
+        with pytest.raises(ValueError, match="mode"):
+            average_conjugated(op, so_quadrature(2, 4), f, mode=bad)
+        with pytest.raises(ValueError, match="mode"):
+            rotate_function(f, lattice_group(2)[1], mode=bad)
+    assert calls == []
 
 
 def test_rotate_function_exact_mode():
