@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .grid import make_grid
-from .multiplier import MultiplierOperator, positivity_report
+from .multiplier import POSITIVITY_TOL, MultiplierOperator, positivity_report
 from .norms import contraction_report
 from .radialize import (
     CONVERGENCE_ORDERS,
@@ -138,24 +138,22 @@ def cmd_norms(cfg: argparse.Namespace) -> int:
     return 0 if all(report.flags.values()) else 1
 
 
+def _positivity_fields(phi, proj, grid, tol: float = POSITIVITY_TOL) -> dict:
+    """min_kernel_* and verdict_* of M_phi ("original") and M_proj ("radialized")."""
+    fields = {}
+    for side, symbol in (("original", phi), ("radialized", proj)):
+        rep = positivity_report(MultiplierOperator(symbol, grid), tol)
+        fields[f"min_kernel_{side}"] = rep.min_kernel
+        fields[f"verdict_{side}"] = rep.verdict
+    return fields
+
+
 def cmd_positivity(cfg: argparse.Namespace) -> int:
     grid, phi, proj = _projection(cfg)
-    tol = {} if cfg.tol is None else {"tol": cfg.tol}
-    rep_orig = positivity_report(MultiplierOperator(phi, grid), **tol)
-    rep_proj = positivity_report(MultiplierOperator(proj, grid), **tol)
-    _write_json(
-        os.path.join(cfg.out, "positivity.json"),
-        cfg,
-        {
-            "symbol": cfg.symbol,
-            "grid": {"n": cfg.n, "N": cfg.N, "L": cfg.L},
-            "min_kernel_original": rep_orig.min_kernel,
-            "min_kernel_radialized": rep_proj.min_kernel,
-            "verdict_original": rep_orig.verdict,
-            "verdict_radialized": rep_proj.verdict,
-            "tol": rep_orig.tol,
-        },
-    )
+    tol = POSITIVITY_TOL if cfg.tol is None else cfg.tol
+    payload = {"symbol": cfg.symbol, "grid": {"n": cfg.n, "N": cfg.N, "L": cfg.L}, "tol": tol}
+    payload.update(_positivity_fields(phi, proj, grid, tol))
+    _write_json(os.path.join(cfg.out, "positivity.json"), cfg, payload)
     return 0
 
 
@@ -199,17 +197,7 @@ def cmd_demo(cfg: argparse.Namespace) -> int:
     for label, phi in catalog.items():
         proj = project(phi, radii, rules[default_order(phi)])
         _write_profile(os.path.join(cfg.out, f"profile_{label}.csv"), cfg, proj)
-        rep_o = positivity_report(MultiplierOperator(phi, grid))
-        rep_p = positivity_report(MultiplierOperator(proj, grid))
-        summary.append(
-            {
-                "symbol": label,
-                "verdict_original": rep_o.verdict,
-                "verdict_radialized": rep_p.verdict,
-                "min_kernel_original": rep_o.min_kernel,
-                "min_kernel_radialized": rep_p.min_kernel,
-            }
-        )
+        summary.append({"symbol": label, **_positivity_fields(phi, proj, grid)})
     _write_json(os.path.join(cfg.out, "demo.json"), cfg, {"symbols": summary})
     return 0
 

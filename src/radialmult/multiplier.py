@@ -139,6 +139,10 @@ def kernel(op: MultiplierOperator) -> GridFunction:
     return GridFunction(op.grid, _inverse_dft(op.sampled, op.grid), domain="space")
 
 
+#: Default tolerance of `positivity_report` on the kernel's negative part and imaginary residue.
+POSITIVITY_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class PositivityReport:
     min_kernel: float
@@ -148,7 +152,7 @@ class PositivityReport:
     reason: str  # ok | non-finite-kernel | negative-kernel | complex-kernel
 
 
-def positivity_report(op: MultiplierOperator, tol: float = 1e-10) -> PositivityReport:
+def positivity_report(op: MultiplierOperator, tol: float = POSITIVITY_TOL) -> PositivityReport:
     """Decide operator positivity from the kernel sign pattern.
 
     A complex kernel residue above tol forces a not-positive verdict

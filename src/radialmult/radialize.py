@@ -29,7 +29,7 @@ import numpy as np
 
 from .grid import FrequencyGrid
 from .rotation import RotationQuadrature, SphereQuadrature, sphere_quadrature
-from .symbols import NamedSymbol, RadialSymbol, SampledSymbol, Symbol, eval_symbol, sample_symbol
+from .symbols import RadialSymbol, SampledSymbol, Symbol, eval_symbol, sample_symbol
 
 __all__ = [
     "spherical_mean",
@@ -83,12 +83,7 @@ def default_order(
     phi: Symbol, smooth: int = SMOOTH_ORDER, indicator: int = INDICATOR_ORDER
 ) -> int:
     """Sphere-quadrature order for phi: `indicator` for kinked catalog symbols, else `smooth`."""
-    return indicator if isinstance(phi, NamedSymbol) and phi.kink else smooth
-
-
-def _require_pointwise(phi: Symbol) -> None:
-    if isinstance(phi, SampledSymbol):
-        raise ValueError("sampled symbols cannot be evaluated off-lattice; resample a closed form")
+    return indicator if phi.kink else smooth
 
 
 def _sphere_points(radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
@@ -121,8 +116,8 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     would make a radius's mean depend on how many radii share the call.
     A symbol that is not finite at some point of a sphere raises
     `ArithmeticError` naming the radius, so no mean is NaN or infinite.
+    A lattice sample is not evaluable at points, so it raises `ValueError`.
     """
-    _require_pointwise(phi)
     if phi.n != sq.n:
         raise ValueError("symbol and quadrature dimension mismatch")
     radii = np.asarray(radii, dtype=float)
@@ -169,7 +164,6 @@ def project_mc(phi: Symbol, grid: FrequencyGrid, rq: RotationQuadrature) -> Samp
     L = 16 they differ by up to 0.707 for riesz j=2 and 1984 for monomial
     alpha=(1, 2); even symbols agree), and it is no oracle for check 9.
     """
-    _require_pointwise(phi)
     if phi.n != grid.n:
         raise ValueError("symbol and grid dimension mismatch")
     mesh = grid.frequency_mesh()

@@ -14,6 +14,11 @@ Sphere rules are the analogous product rules one dimension down.
 `lattice_group(n)` holds the rotations that map the frequency lattice
 onto itself; they act on the torus by exact index permutation, which
 is how `rotated_symbol` re-indexes a lattice sample.
+
+At n = 1 the group averaged over is O(1) = {+1, -1}: SO(1) is trivial,
+while the projection averages over the sphere S^0 = {+1, -1}, so
+`so_quadrature(1, m)` and `lattice_group(1)` hold the reflection too
+and an operator-side average takes the even part, as `project` does.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ ORTHO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Rotation:
-    """Element of SO(n): orthogonal matrix with determinant +1."""
+    """Element of SO(n): orthogonal matrix with determinant +1; at n = 1 of O(1), so +-1."""
 
     n: int
     M: np.ndarray
@@ -54,7 +59,7 @@ class Rotation:
             raise ValueError(f"matrix must be {self.n}x{self.n}, got {M.shape}")
         if not np.max(np.abs(M.T @ M - np.eye(self.n))) <= ORTHO_TOL:  # NaN fails too
             raise ValueError("matrix is not orthogonal within tolerance")
-        if not abs(np.linalg.det(M) - 1.0) <= ORTHO_TOL:
+        if self.n > 1 and not abs(np.linalg.det(M) - 1.0) <= ORTHO_TOL:
             raise ValueError("matrix must have determinant +1")
         object.__setattr__(self, "M", M)
 
@@ -64,7 +69,7 @@ class Rotation:
 
 @dataclass(frozen=True)
 class RotationQuadrature:
-    """Weighted rotation nodes approximating normalized Haar measure on SO(n)."""
+    """Weighted rotation nodes approximating normalized Haar measure on SO(n) (O(1) at n = 1)."""
 
     rotations: tuple
     weights: np.ndarray
@@ -133,12 +138,16 @@ def _euler_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 
 def so_quadrature(n: int, m: int) -> RotationQuadrature:
-    """Deterministic quadrature rule for normalized Haar measure on SO(n)."""
+    """Deterministic quadrature rule for normalized Haar measure on SO(n).
+
+    At n = 1 it is the exact rule over O(1) = {+1, -1}, `lattice_group(1)`,
+    and ignores m.
+    """
     _check_dimension(n)
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if n == 1:
-        return RotationQuadrature((Rotation(1, np.eye(1)),), np.array([1.0]))
+        return subgroup_quadrature(lattice_group(1))
     if n == 2:
         angles = 2.0 * np.pi * np.arange(m) / m
         rots = tuple(Rotation(2, _rotation_2d(t)) for t in angles)
@@ -200,11 +209,12 @@ def subgroup_quadrature(rotations: list[Rotation]) -> RotationQuadrature:
 def lattice_group(n: int) -> list[Rotation]:
     """The rotations that map the frequency lattice onto itself.
 
-    These are the signed permutation matrices of determinant +1: 1, 4
-    and 24 of them for n = 1, 2, 3.  They are listed breadth-first from
-    the identity under the quarter turns in the coordinate planes
-    (i, i+1), so at n = 2 the list runs through the turns by 0, 90, 180
-    and 270 degrees.
+    These are the signed permutation matrices of determinant +1: 4 and
+    24 of them for n = 2, 3.  At n = 1 the group is O(1) = {+1, -1}, the
+    reflection included.  They are listed breadth-first from the
+    identity under the generators: the quarter turns in the coordinate
+    planes (i, i+1), or the reflection at n = 1.  So at n = 2 the list
+    runs through the turns by 0, 90, 180 and 270 degrees.
     """
     # before the walk: np.eye rejects n < 0 in its own words, and the walk
     # would build all 2^(n-1) n! elements before `Rotation` rejects one
@@ -212,10 +222,11 @@ def lattice_group(n: int) -> list[Rotation]:
     turns = [np.eye(n, dtype=int) for _ in range(n - 1)]
     for i, T in enumerate(turns):
         T[i : i + 2, i : i + 2] = [[0, -1], [1, 0]]
+    generators = turns if n > 1 else [-np.eye(1, dtype=int)]
     group = [np.eye(n, dtype=int)]
     seen = {group[0].tobytes()}
     for M in group:  # the list grows while it is walked: breadth-first
-        for T in turns:
+        for T in generators:
             P = T @ M
             if P.tobytes() not in seen:
                 seen.add(P.tobytes())

@@ -4,8 +4,9 @@ A symbol is a complex function of frequency, evaluated at (..., n)
 points by `evaluate`.  Three representations, one class each:
 
 * ``NamedSymbol`` -- closed-form catalog entry, evaluable anywhere.
-* ``SampledSymbol`` -- values on the frequency lattice of one grid,
-  evaluable only at lattice points (exact match within 1e-9 * dxi).
+* ``SampledSymbol`` -- values on the frequency lattice of one grid, read
+  through `.values`; it is not evaluable at points, so a sphere mean of
+  it raises `ValueError`.
 * ``RadialSymbol`` -- a profile on radii, linearly interpolated at |xi|,
   evaluable anywhere and rotation invariant by construction.
 """
@@ -32,14 +33,15 @@ __all__ = [
     "parse_symbol_spec",
 ]
 
-#: Exact-match tolerance for lattice lookups, as a fraction of dxi.
-LATTICE_MATCH_TOL = 1e-9
-
-
 class Symbol:
-    """Base class; subclasses implement vector evaluation at (..., n) points."""
+    """Base class; subclasses implement vector evaluation at (..., n) points.
+
+    `kink` marks a symbol whose jump makes sphere averages converge
+    slowly; only catalog indicators set it.
+    """
 
     n: int
+    kink = False
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an array of frequency points of shape (..., n).
@@ -126,7 +128,7 @@ def _gaussian_from_cli(kv: dict[str, float], n: int) -> dict:
 def _riesz(x: np.ndarray, p: dict) -> np.ndarray:
     norms = np.linalg.norm(x, axis=-1)
     safe = np.where(norms > 0, norms, 1.0)
-    return np.where(norms > 0, x[..., p["j"] - 1] / safe, 0.0).astype(complex)
+    return np.where(norms > 0, x[..., p["j"] - 1] / safe, 0.0)
 
 
 def _quadratic_form(x: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -160,7 +162,7 @@ def _monomial(x: np.ndarray, p: dict) -> np.ndarray:
     for i, a in enumerate(p["alpha"]):
         if a:
             out = out * x[..., i] ** a
-    return out.astype(complex)
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,8 @@ class SymbolSpec:
     formula(points, params) evaluates at (..., n) points, which may be a
     strided view whose coordinates are contiguous blocks: it reads the
     coordinates through the last axis and does not reshape the cloud to
-    (-1, n), which may copy it.  kink marks a
+    (-1, n), which may copy it.  It may return real, boolean or complex
+    values; `NamedSymbol.evaluate` casts them to complex.  kink marks a
     symbol whose jump makes sphere averages converge slowly: it gets the
     indicator sphere-quadrature order.
     """
@@ -193,24 +196,24 @@ SYMBOL_SPECS: dict[str, SymbolSpec] = {
         lambda x, p: np.full(x.shape[:-1], p["c"])),
     "gaussian_aniso": SymbolSpec(
         ("gaussaniso",), lambda p, n: {"A": _check_spd(p["A"], n)}, _gaussian_from_cli,
-        lambda x, p: np.exp(-_quadratic_form(x, p["A"])).astype(complex)),
+        lambda x, p: np.exp(-_quadratic_form(x, p["A"]))),
     "heat": SymbolSpec(
         ("heat",), _positive("t"), _cli_scalar("t"),
-        lambda x, p: np.exp(-p["t"] * np.sum(x**2, axis=-1)).astype(complex)),
+        lambda x, p: np.exp(-p["t"] * np.sum(x**2, axis=-1))),
     "poisson": SymbolSpec(
         ("poisson",), _positive("t"), _cli_scalar("t"),
-        lambda x, p: np.exp(-p["t"] * np.linalg.norm(x, axis=-1)).astype(complex)),
+        lambda x, p: np.exp(-p["t"] * np.linalg.norm(x, axis=-1))),
     "ball_indicator": SymbolSpec(
         ("ballind",), _positive("rho"), _ball_from_cli,
-        lambda x, p: (np.linalg.norm(x, axis=-1) <= p["rho"]).astype(complex), kink=True),
+        lambda x, p: np.linalg.norm(x, axis=-1) <= p["rho"], kink=True),
     "box_indicator": SymbolSpec(
         ("boxind",), _positive("a"), _cli_scalar("a"),
-        lambda x, p: (np.max(np.abs(x), axis=-1) <= p["a"]).astype(complex), kink=True),
+        lambda x, p: np.max(np.abs(x), axis=-1) <= p["a"], kink=True),
     "riesz": SymbolSpec(
         ("riesz",), _check_riesz, _cli_scalar("j"), _riesz),
     "bochner_riesz": SymbolSpec(
         ("bochnerriesz",), _check_bochner_riesz, _cli_scalar("delta"),
-        lambda x, p: (np.clip(1.0 - np.sum(x**2, axis=-1), 0.0, None) ** p["delta"]).astype(complex)),
+        lambda x, p: np.clip(1.0 - np.sum(x**2, axis=-1), 0.0, None) ** p["delta"]),
     "monomial": SymbolSpec(
         ("monomial",), _check_monomial,
         lambda kv, n: {"alpha": tuple(kv.pop(f"a{i + 1}", 0) for i in range(n))}, _monomial),
@@ -251,7 +254,7 @@ class NamedSymbol(Symbol):
         points = np.asarray(points, dtype=float)
         if points.shape[-1] != self.n:
             raise ValueError(f"points must have last axis {self.n}, got {points.shape}")
-        return SYMBOL_SPECS[self.name].formula(points, self.params)
+        return np.asarray(SYMBOL_SPECS[self.name].formula(points, self.params), dtype=complex)
 
 
 def make_named_symbol(name: str, params: dict, n: int) -> NamedSymbol:
@@ -263,7 +266,9 @@ def make_named_symbol(name: str, params: dict, n: int) -> NamedSymbol:
 class SampledSymbol(Symbol):
     """Symbol known only on the frequency lattice of one grid.
 
-    values are stored in the grid's FFT storage order.
+    values are stored in the grid's FFT storage order; read them through
+    `.values`.  A sample is not a function on R^n, so `evaluate` refuses
+    every point, on the lattice or off it.
     """
 
     grid: FrequencyGrid
@@ -282,18 +287,7 @@ class SampledSymbol(Symbol):
         return self.grid.n
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.shape[-1] != self.grid.n:
-            raise ValueError(f"points must have last axis {self.grid.n}")
-        dxi = self.grid.dxi
-        idx = np.round(points / dxi).astype(int)
-        if np.max(np.abs(points - idx * dxi)) > LATTICE_MATCH_TOL * dxi:
-            raise ValueError("off-lattice query on a sampled symbol")
-        half = self.grid.N // 2
-        if np.any(idx < -half) or np.any(idx >= half):
-            raise ValueError("frequency outside the lattice range of the sampled symbol")
-        storage = np.mod(idx, self.grid.N)
-        return self.values[tuple(np.moveaxis(storage, -1, 0))]
+        raise ValueError("a lattice sample is not evaluable at points; sample a closed form")
 
 
 @dataclass(frozen=True)

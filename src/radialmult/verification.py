@@ -307,16 +307,15 @@ def check_quadrature_convergence(ctx: _Context) -> CheckResult:
     if ctx.cfg.n == 2:
         proj = ctx.projection("boxind")
         radii = proj.radii
-        with np.errstate(invalid="ignore"):
-            oracle_vals = np.where(
-                radii <= 1.0,
-                1.0,
-                np.where(
-                    radii <= np.sqrt(2.0),
-                    1.0 - (4.0 / np.pi) * np.arccos(np.minimum(1.0 / np.maximum(radii, 1.0), 1.0)),
-                    0.0,
-                ),
-            )
+        oracle_vals = np.where(
+            radii <= 1.0,
+            1.0,
+            np.where(
+                radii <= np.sqrt(2.0),
+                1.0 - (4.0 / np.pi) * np.arccos(1.0 / np.maximum(radii, 1.0)),
+                0.0,
+            ),
+        )
         keep = ~(
             ((radii >= 0.98) & (radii <= 1.02)) | ((radii >= 1.39) & (radii <= 1.43))
         )

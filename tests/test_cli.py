@@ -13,6 +13,7 @@ import pytest
 import radialmult.cli as cli
 from radialmult.cli import OPTIONS, SUBCOMMANDS, main
 from radialmult.radialize import INDICATOR_ORDER, RADIALITY_ORDER, SMOOTH_ORDER
+from radialmult.verification import CRITERIA
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -274,6 +275,28 @@ def test_config_keys_are_the_options_read(tmp_path):
                 cfg = json.loads(text)["config"]
             read = {OPTIONS[f].get("dest", f) for f in SUBCOMMANDS[command][1]}
             assert set(cfg) == read | {"command", "version"}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_files_exit_code_and_printout_agree(tmp_path, capsys, n):
+    rc = main(["verify", "--n", str(n), "--grid", "16", "--extent", "8", "--out", str(tmp_path)])
+    printed = capsys.readouterr().out.splitlines()
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    checks = doc["checks"]
+    names = [check["criterion"] for check in checks]
+    # one check per criterion, in the order of CRITERIA ("1-...", "2-...", ...)
+    assert [int(name.split("-")[0]) for name in names] == list(range(1, len(CRITERIA) + 1))
+    failed = [check["criterion"] for check in checks if not check["passed"]]
+    assert doc["failures"] == failed
+    assert rc == (1 if failed else 0)
+    header, rows = _read_csv(tmp_path / "verify.csv")
+    assert header == ["criterion", "status"]
+    assert rows == [[c["criterion"], "pass" if c["passed"] else "fail"] for c in checks]
+    assert printed == [f"{'PASS' if c['passed'] else 'FAIL'} {c['criterion']}" for c in checks]
+    read = {OPTIONS[f].get("dest", f) for f in SUBCOMMANDS["verify"][1]}
+    assert set(doc["config"]) == read | {"command", "version"}
+    csv_config = json.loads((tmp_path / "verify.csv").read_text().splitlines()[1][len("# config "):])
+    assert csv_config == doc["config"]
 
 
 def test_exit_codes_through_module_entry_point(tmp_path):

@@ -274,6 +274,23 @@ def test_average_conjugated_c4_monomial():
     assert np.max(np.abs(out.values - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("mode", ["exact", "interp"])
+def test_n1_operator_average_is_the_even_part(mode):
+    # the n = 1 group is O(1) = {+1, -1}, so Q(M_phi) = M of (phi(xi) + phi(-xi)) / 2,
+    # the projection P(phi); compared off the self-mirrored Nyquist row
+    g = make_grid(1, 32, 8.0)
+    f = _rand_f(g, 11)
+    fhat = transform(f, "forward").values
+    XI = g.frequency_mesh()
+    keep = ~g.nyquist_mask()
+    for name, params in (("modulation", {"a": (1.0,)}), ("riesz", {"j": 1})):
+        phi = make_named_symbol(name, params, 1)
+        even = 0.5 * (phi.evaluate(XI) + phi.evaluate(-XI))
+        q = average_conjugated(MultiplierOperator(phi, g), so_quadrature(1, 8), f, mode)
+        got = transform(q, "forward").values
+        assert np.max(np.abs(got - even * fhat)[keep]) <= 1e-12 * np.max(np.abs(fhat))
+
+
 def test_interp_average_converges_to_projection_with_box_size():
     # The dense-rotation average and the projected-symbol operator agree on
     # the torus only up to a periodization bias: conjugating by a non-lattice

@@ -42,6 +42,28 @@ def test_default_order_is_the_indicator_order_exactly_for_kinked_symbols():
     assert default_order(project(ball, default_radii(g), SQ256), smooth=3, indicator=5) == 3
 
 
+def test_a_lattice_sample_is_values_not_a_function():
+    g = make_grid(2, 8, 4.0)
+    heat = make_named_symbol("heat", {"t": 1.0}, 2)
+    s = sample_symbol(heat, g)
+    with pytest.raises(ValueError, match="not evaluable at points"):
+        s.evaluate(g.frequency_mesh()[1, 2])  # on the lattice, and still refused
+    for average in (
+        lambda: spherical_mean(s, 1.0, SQ256),
+        lambda: project(s, default_radii(g), SQ256),
+        lambda: project_mc(s, g, so_quadrature(2, 4)),
+    ):
+        with pytest.raises(ValueError):
+            average()
+    # only catalog indicators are kinked: samples and profiles take the smooth order
+    assert default_order(s) == SMOOTH_ORDER
+    assert default_order(project(heat, default_radii(g), SQ256)) == SMOOTH_ORDER
+    for n in (1, 2, 3):
+        points = np.random.default_rng(n).uniform(-2.0, 2.0, size=(5, n))
+        for phi in reference_catalog(n).values():
+            assert phi.evaluate(points).dtype == np.complex128, phi.name
+
+
 def test_spherical_mean_radial_symbol():
     phi = make_named_symbol("heat", {"t": 1.0}, 2)
     for m in (2, 7, 64):

@@ -11,7 +11,6 @@ from radialmult import (
     Rotation,
     RotationQuadrature,
     SphereQuadrature,
-    eval_symbol,
     haar_rotation,
     lattice_group,
     make_grid,
@@ -41,6 +40,10 @@ def test_rotation_invariants_enforced():
         Rotation(2, np.array([[1.0, 0.0], [0.0, -1.0]]))  # det -1
     with pytest.raises(ValueError):
         Rotation(2, np.full((2, 2), np.nan))
+    # O(1) = {+1, -1}: the reflection is the one rotation-group element at n = 1
+    assert Rotation(1, -np.eye(1)).M[0, 0] == -1.0
+    with pytest.raises(ValueError):
+        Rotation(1, 2.0 * np.eye(1))
 
 
 def test_quadratures_reject_nan():
@@ -81,8 +84,10 @@ def test_haar_angle_uniformity_ks():
 
 
 def test_so_quadrature_basic_rules():
+    # at n = 1 the rule is O(1) = {+1, -1}, whatever the order
     rq = so_quadrature(1, 5)
-    assert len(rq.rotations) == 1 and rq.weights[0] == 1.0
+    assert [R.M.tolist() for R in rq.rotations] == [[[1.0]], [[-1.0]]]
+    assert rq.weights.tolist() == [0.5, 0.5]
     rq = so_quadrature(2, 4)
     got = sorted(_angle(R) for R in rq.rotations)
     assert np.allclose(got, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-14)
@@ -203,11 +208,13 @@ def _key(R):
     return tuple(np.round(R.M).astype(int).ravel())
 
 
-@pytest.mark.parametrize("n,size", [(1, 1), (2, 4), (3, 24)])
+@pytest.mark.parametrize("n,size", [(1, 2), (2, 4), (3, 24)])
 def test_lattice_group_is_the_rotation_group_of_the_lattice(n, size):
+    # at n = 1 the group is O(1) = {+1, -1}; from n = 2 on, determinant +1 only
     group = lattice_group(n)
     assert len(group) == size
-    assert all(_is_signed_permutation(R.M) and round(np.linalg.det(R.M)) == 1 for R in group)
+    assert all(_is_signed_permutation(R.M) for R in group)
+    assert all(round(np.linalg.det(R.M)) == 1 for R in group) == (n > 1)
     keys = {_key(R) for R in group}
     assert len(keys) == size
     for A in group:
@@ -244,10 +251,10 @@ def test_rotated_riesz_90deg():
     phi = sample_symbol(make_named_symbol("riesz", {"j": 1}, 2), g)
     R = Rotation(2, np.array([[0.0, -1.0], [1.0, 0.0]]))
     rot = rotated_symbol(phi, R)
-    xi = np.array([g.dxi, 0.0])
-    # rot(xi) = phi(R xi) = phi((0, dxi)) = 0; and at (0, -dxi): phi(R xi) = phi((dxi, 0)) = 1
-    assert eval_symbol(rot, xi) == eval_symbol(phi, R.M @ xi) == 0.0
-    assert eval_symbol(rot, (0.0, -g.dxi)) == 1.0
+    # lattice index k sits at storage index k mod N
+    # rot(xi) = phi(R xi): at xi = (dxi, 0), phi((0, dxi)) = 0; at (0, -dxi), phi((dxi, 0)) = 1
+    assert rot.values[1, 0] == phi.values[0, 1] == 0.0
+    assert rot.values[0, -1] == 1.0
 
 
 def _gather_permutation(values, grid, M):

@@ -119,3 +119,12 @@ def test_the_dimension_rule_is_written_once():
     # every layer calls the grid's `_check_dimension` instead of its own copy
     count = sum(path.read_text().count("dimension must be 1, 2 or 3") for path in SOURCES)
     assert count == 1, count
+
+
+def test_each_symbol_class_defines_evaluate_in_its_own_body():
+    # the benchmark tracer wraps `cls.__dict__["evaluate"]` of these three classes
+    missing = [
+        name for name in ("NamedSymbol", "SampledSymbol", "RadialSymbol")
+        if "evaluate" not in vars(getattr(radialmult.symbols, name))
+    ]
+    assert not missing, missing

@@ -185,8 +185,8 @@ def test_sample_symbol_matches_eval():
     g = make_grid(2, 8, 8.0)
     phi = make_named_symbol("gaussian_aniso", {"A": np.eye(2)}, 2)
     s = sample_symbol(phi, g)
-    xi = (g.dxi * 2, g.dxi)  # a lattice point
-    assert abs(eval_symbol(s, xi) - eval_symbol(phi, xi)) <= 1e-15
+    xi = (g.dxi * 2, g.dxi)  # the lattice point of index (2, 1)
+    assert abs(s.values[2, 1] - eval_symbol(phi, xi)) <= 1e-15
 
 
 def test_sample_constant_is_ones():
