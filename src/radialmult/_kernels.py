@@ -12,8 +12,22 @@ sum of table entries.  Fourth-order accuracy is needed to keep the
 rotation-average comparisons inside their stated tolerances; bilinear
 error on desk-scale grids is orders of magnitude too large.
 
-Only the n grid axes are filtered and rotated; trailing fiber axes are
-carried, so every component of an X-valued field rotates in one call.
+Only the n grid axes are filtered and rotated; trailing axes are
+carried, so every component of an X-valued field, or a stack of fields,
+rotates in one call.
+
+The gather is equivariant on its source side, exactly: for a signed
+permutation G and coefficients c, the gather at G R of c equals the
+gather at R of c o G = `_permute_lattice(c, grid, G)`, because the
+tensor B-spline is invariant under signed permutations and the
+permutation acts on the coefficient lattice mod N, -N/2 rows included.
+`average_conjugated` rests its lattice-orbit grouping on this.  The
+rotation is not equivariant on its output side: turning the samples of
+S_r f by a quarter turn Q is not S_(rQ) f, because at even N the index
+-N/2 rows have no partner under the turn (for a random complex 64^2
+field and r = 0.3 rad the two differ by up to 3.5 on those rows, 2.7e-14
+elsewhere).  So a grouping must permute sources and spectra, never
+outputs.
 """
 
 from __future__ import annotations

@@ -200,20 +200,32 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
 
 
+def _dft_sum(values: np.ndarray, shape: tuple[int, ...], stack: int = 0) -> np.ndarray:
+    """The unscaled DFT sum over the grid axes of `shape`, which follow `stack` leading axes.
+
+    Trailing axes ride along.  The call names its axes and their lengths,
+    which spares numpy looking the lengths up per transform.
+    """
+    return np.fft.fftn(values, s=shape, axes=tuple(range(stack, stack + len(shape))))
+
+
+def _inverse_dft_sum(spectrum: np.ndarray, shape: tuple[int, ...], stack: int = 0) -> np.ndarray:
+    """The inverse of `_dft_sum`: numpy's 1/N^n-normalized inverse DFT over the same axes."""
+    return np.fft.ifftn(spectrum, s=shape, axes=tuple(range(stack, stack + len(shape))))
+
+
 def _multiply(symbol: np.ndarray, values: np.ndarray, stack: int = 0) -> np.ndarray:
     """F^-1 [symbol . F values] over the grid axes.
 
     The grid axes follow `stack` leading axes (independent fields
     transformed in one call); trailing fiber axes ride along.  The
-    forward dx^n and inverse N^n/L^n scalings cancel, so the raw
-    fft/ifft pair is used directly.  Every call names its axes and their
-    lengths, which spares numpy looking the lengths up per transform.
+    forward dx^n and inverse N^n/L^n scalings cancel, so the unscaled
+    transform pair is used directly.
     """
     fiber = values.ndim - stack - symbol.ndim
-    axes = tuple(range(stack, stack + symbol.ndim))
-    spectrum = np.fft.fftn(values, s=symbol.shape, axes=axes)
+    spectrum = _dft_sum(values, symbol.shape, stack)
     spectrum *= symbol.reshape(symbol.shape + (1,) * fiber)  # in place: no product buffer
-    return np.fft.ifftn(spectrum, s=symbol.shape, axes=axes)
+    return _inverse_dft_sum(spectrum, symbol.shape, stack)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -23,6 +23,7 @@ and an operator-side average takes the even part, as `project` does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,13 @@ def _euler_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
 def so_quadrature(n: int, m: int) -> RotationQuadrature:
     """Deterministic quadrature rule for normalized Haar measure on SO(n).
 
-    At n = 1 it is the exact rule over O(1) = {+1, -1}, `lattice_group(1)`,
-    and ignores m.
+    At n = 2 node k is the turn by 2 pi k / m, with uniform weights.
+    With g = gcd(m, 4), the first m/g nodes are computed from their
+    angles and node k >= m/g is the exact product T @ R_(k mod m/g) of a
+    turn T in C_g, the rotations of `lattice_group(2)` by multiples of
+    2 pi / g, so that `average_conjugated` finds each node's lattice
+    orbit bitwise.  At n = 1 it is the exact rule over O(1) = {+1, -1},
+    `lattice_group(1)`, and ignores m.
     """
     _check_dimension(n)
     if m < 1:
@@ -149,9 +155,12 @@ def so_quadrature(n: int, m: int) -> RotationQuadrature:
     if n == 1:
         return subgroup_quadrature(lattice_group(1))
     if n == 2:
-        angles = 2.0 * np.pi * np.arange(m) / m
-        rots = tuple(Rotation(2, _rotation_2d(t)) for t in angles)
-        return RotationQuadrature(rots, np.full(m, 1.0 / m))
+        g = math.gcd(m, 4)
+        angles = 2.0 * np.pi * np.arange(m // g) / m
+        base = [Rotation(2, _rotation_2d(t)) for t in angles]
+        turns = lattice_group(2)[4 // g :: 4 // g]  # C_g without the identity
+        rots = base + [Rotation(2, T.M @ R.M) for T in turns for R in base]
+        return RotationQuadrature(tuple(rots), np.full(m, 1.0 / m))
     # n == 3: Haar measure factors as dalpha/2pi * d(cos beta)/2 * dgamma/2pi
     nodes_cb, weights_cb = np.polynomial.legendre.leggauss(m)
     angles = 2.0 * np.pi * np.arange(m) / m
@@ -256,8 +265,28 @@ def rotated_symbol(phi: SampledSymbol, R: Rotation) -> SampledSymbol:
     return SampledSymbol(phi.grid, _permute_lattice(phi.values, phi.grid, R.M))
 
 
+def _signed_permutation(M: np.ndarray) -> list[tuple[int, float]]:
+    """(c_i, s_i) per row i of a signed permutation matrix M: its one nonzero s_i sits in column c_i.
+
+    Entries count as zero, and the nonzero ones as +-1, within
+    `ORTHO_TOL`.  Signed permutations of either determinant are accepted;
+    any other matrix raises ValueError.
+    """
+    # a few Python-level checks on at most 9 entries cost less than numpy
+    # calls on a 3x3 array, and this runs once per exact rotation
+    rows = []
+    for row in np.asarray(M, dtype=float).tolist():
+        nonzero = [(col, entry) for col, entry in enumerate(row) if abs(entry) > ORTHO_TOL]
+        if len(nonzero) != 1 or abs(abs(nonzero[0][1]) - 1.0) > ORTHO_TOL:
+            raise ValueError("exact lattice permutation needs a signed permutation matrix")
+        rows.append(nonzero[0])
+    if sorted(col for col, _ in rows) != list(range(len(rows))):
+        raise ValueError("exact lattice permutation needs a signed permutation matrix")
+    return rows
+
+
 def _permute_lattice(values: np.ndarray, grid: FrequencyGrid, M: np.ndarray) -> np.ndarray:
-    """out[k] = values[M k mod N] for a signed permutation matrix M.
+    """out[k] = values[M k mod N] for a signed permutation matrix M (`_signed_permutation`).
 
     k runs over the signed lattice indices of the leading grid axes;
     trailing fiber axes are carried.  Row i of M holds its one nonzero
@@ -265,8 +294,7 @@ def _permute_lattice(values: np.ndarray, grid: FrequencyGrid, M: np.ndarray) -> 
     map only reflects and reorders whole axes.  Each axis with s_i = -1
     is reflected about index 0 (a flip, then a roll by one), then one
     transpose moves axis i to place c_i.  The result is a fresh
-    C-contiguous array.  Signed permutations of either determinant are
-    accepted; any other matrix raises ValueError.
+    C-contiguous array.
     """
     n = grid.n
     M = np.asarray(M, dtype=float)
@@ -274,19 +302,51 @@ def _permute_lattice(values: np.ndarray, grid: FrequencyGrid, M: np.ndarray) -> 
         raise ValueError(f"permutation matrix must be {n}x{n}, got {M.shape}")
     if values.shape[:n] != grid.shape:
         raise ValueError(f"values must start with the grid axes {grid.shape}, got {values.shape}")
-    # a few Python-level checks on at most 9 entries cost less than numpy
-    # calls on a 3x3 array, and this runs once per exact rotation
-    cols = []
+    rows = _signed_permutation(M)
     out = values
-    for axis, row in enumerate(M.tolist()):
-        nonzero = [(col, entry) for col, entry in enumerate(row) if abs(entry) > ORTHO_TOL]
-        if len(nonzero) != 1 or abs(abs(nonzero[0][1]) - 1.0) > ORTHO_TOL:
-            raise ValueError("exact lattice permutation needs a signed permutation matrix")
-        col, entry = nonzero[0]
-        cols.append(col)
+    for axis, (_, entry) in enumerate(rows):
         if entry < 0:
             out = np.roll(np.flip(out, axis), 1, axis)  # k -> -k mod N
-    if sorted(cols) != list(range(n)):
-        raise ValueError("exact lattice permutation needs a signed permutation matrix")
+    cols = [col for col, _ in rows]
     order = [cols.index(place) for place in range(n)] + list(range(n, values.ndim))
     return np.transpose(out, order).copy()
+
+
+def _lattice_orbits(rq: RotationQuadrature, n: int) -> list[tuple[Rotation, list]]:
+    """rq's nodes grouped into lattice orbits: [(R, [(G, w), ...]), ...].
+
+    Each node G R of weight w lands in exactly one orbit (duplicates
+    included, each as its own member), where R is the orbit's first node
+    in rule order and G an element of `lattice_group(n)` with G R == R G.
+    Both conditions are bitwise matrix equalities, with -0.0 equal to
+    0.0; products by a signed permutation are exact, so an exact product
+    T @ R in the rule (as `so_quadrature(2, m)` builds them) is found.
+    Orbits come in the order of their first node, members in group order
+    and then rule order.  A node that commutes with no lattice element
+    but the identity is an orbit of one.
+    """
+    mats = np.stack([R.M for R in rq.rotations]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    nodes_at: dict[bytes, list[int]] = {}
+    for i, M in enumerate(mats):
+        nodes_at.setdefault(M.tobytes(), []).append(i)
+    group = lattice_group(n)  # the identity first
+    commuting = []  # (node i, group index g, bytes of G_g R_i) wherever G_g R_i == R_i G_g
+    for g, G in enumerate(group):
+        GR = (G.M @ mats) + 0.0
+        for i in np.flatnonzero(np.all(GR == mats @ G.M, axis=(1, 2))).tolist():
+            commuting.append((i, g, GR[i].tobytes()))
+    commuting.sort(key=lambda entry: entry[:2])
+    taken = [False] * len(mats)
+    orbits = []
+    head = -1
+    for i, g, key in commuting:
+        if i != head:
+            if taken[i]:
+                continue  # a member of an earlier orbit
+            head = i
+            orbits.append((rq.rotations[i], []))
+        for j in nodes_at.get(key, ()):
+            if not taken[j]:
+                taken[j] = True
+                orbits[-1][1].append((group[g], rq.weights[j]))
+    return orbits

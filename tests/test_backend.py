@@ -135,3 +135,36 @@ def test_rotate_interp_rejects_mismatched_shapes():
     huge = np.broadcast_to(np.complex128(0), (2048,) * 3)
     with pytest.raises(ValueError, match="int32"):
         _kernels.rotate_interp(huge, np.eye(3), np.arange(-1024, 1024))
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("n", [2, 3])
+def test_rotate_interp_is_equivariant_on_its_source(n, N):
+    # the gather at G R of c is the gather at R of c o G for every lattice
+    # symmetry G: the tensor B-spline is invariant under signed permutations,
+    # and the permutation acts on the coefficients mod N, -N/2 rows included.
+    # `average_conjugated` groups rotation nodes into lattice orbits on this.
+    # The output side is the contrast: turning the samples of a rotated field
+    # by a quarter turn is not the rotation by the product, by up to 3.5 on
+    # the -N/2 rows, which have no partner under the turn.
+    rng = np.random.default_rng(10 * n + N)
+    g = make_grid(n, N, 4.0)
+    coeffs = _random_field(g.shape, rng)  # complex and not even
+    for R in (haar_rotation(n, rng) for _ in range(2)):
+        for G in lattice_group(n):
+            direct = _kernels.rotate_interp(coeffs, G.M @ R.M, g.index_axis())
+            moved = _kernels.rotate_interp(_permute_lattice(coeffs, g, G.M), R.M, g.index_axis())
+            assert np.max(np.abs(moved - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dft_commutes_with_lattice_permutations(n):
+    # F(d o G) = (F d) o G for a signed permutation G, since G^-T = G
+    rng = np.random.default_rng(n)
+    g = make_grid(n, 8, 4.0)
+    d = _random_field(g.shape + (2,), rng)
+    axes = tuple(range(n))
+    for G in lattice_group(n):
+        lhs = np.fft.fftn(_permute_lattice(d, g, G.M), axes=axes)
+        rhs = _permute_lattice(np.fft.fftn(d, axes=axes), g, G.M)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))

@@ -32,7 +32,12 @@ from radialmult import _kernels
 from radialmult import multiplier as multiplier_module
 from radialmult.grid import _multiply
 from radialmult.radialize import default_radii
-from radialmult.rotation import subgroup_quadrature
+from radialmult.rotation import (
+    RotationQuadrature,
+    _lattice_orbits,
+    _permute_lattice,
+    subgroup_quadrature,
+)
 from radialmult.symbols import SampledSymbol
 from radialmult.verification import reference_catalog
 
@@ -165,15 +170,16 @@ def test_average_conjugated_interp_matches_three_transform_pair_form():
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
 
 
-def _count_forward_transforms(monkeypatch):
+def _spy(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on; returns the list that grows by one per call."""
     calls = []
-    fftn = np.fft.fftn
+    original = getattr(owner, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return fftn(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fftn", spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -181,7 +187,7 @@ def test_average_conjugated_interp_makes_one_transform_pair_per_node(monkeypatch
     g = make_grid(2, 16, 8.0)
     op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 2), g)
     f = _rand_f(g, 19)
-    calls = _count_forward_transforms(monkeypatch)
+    calls = _spy(monkeypatch, np.fft, "fftn")
     for m in (1, 5):
         calls.clear()
         average_conjugated(op, so_quadrature(2, m), f, mode="interp")
@@ -193,18 +199,121 @@ def test_rotation_input_checks_run_before_any_transform(monkeypatch):
     op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 2), g)
     f = _rand_f(g, 20)
     mixed = subgroup_quadrature([lattice_group(2)[1], haar_rotation(3, np.random.default_rng(0))])
-    calls = _count_forward_transforms(monkeypatch)
+    off_lattice = subgroup_quadrature([lattice_group(2)[1], haar_rotation(2, np.random.default_rng(0))])
+    calls = _spy(monkeypatch, np.fft, "fftn")
     for mode in ("exact", "interp"):
         with pytest.raises(ValueError, match="dimension"):
             average_conjugated(op, mixed, f, mode=mode)
         with pytest.raises(ValueError, match="dimension"):
             rotate_function(f, mixed.rotations[1], mode=mode)
+    with pytest.raises(ValueError, match="signed permutation"):
+        average_conjugated(op, off_lattice, f, mode="exact")
+    with pytest.raises(ValueError, match="signed permutation"):
+        rotate_function(f, off_lattice.rotations[1], mode="exact")
     for bad in ("cubic", "Interp", None):
         with pytest.raises(ValueError, match="mode"):
             average_conjugated(op, so_quadrature(2, 4), f, mode=bad)
         with pytest.raises(ValueError, match="mode"):
             rotate_function(f, lattice_group(2)[1], mode=bad)
     assert calls == []
+
+
+def _per_node_average(op, rq, f, mode):
+    """The average node by node: a gather at R, one transform pair and a gather at R^-1 per node.
+
+    Exact mode permutes f; interp mode gathers f's spline coefficients and
+    applies the symbol with the prefilter 1/B folded in.
+    """
+    g = f.grid
+    if mode == "exact":
+        source, symbol = f.values, op.sampled
+
+        def rotate(values, R):
+            return _permute_lattice(values, g, R.M)
+
+    else:
+        source = _kernels.spline_prefilter(f.values, g.n)
+        symbol = op.sampled * _kernels._prefilter_symbol(g.N, g.n)
+
+        def rotate(values, R):
+            return _kernels.rotate_interp(values, R.M, g.index_axis())
+
+    acc = np.zeros(f.values.shape, dtype=complex)
+    for R, w in zip(rq.rotations, rq.weights):
+        acc += w * rotate(_multiply(symbol, rotate(source, R)), R.inverse())
+    return acc
+
+
+def _assert_orbits_match_per_node_sum(op, rq, f, mode):
+    orbits = _lattice_orbits(rq, f.grid.n)
+    assert sum(len(members) for _, members in orbits) == len(rq.rotations)
+    out = average_conjugated(op, rq, f, mode).values
+    ref = _per_node_average(op, rq, f, mode)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+    return orbits
+
+
+def _aniso(g):
+    """gaussian_aniso with off-diagonal terms, so no lattice reflection but x -> -x fixes it."""
+    A = np.diag([1.0, 4.0, 2.0][: g.n]) + 0.3 * (np.ones((g.n, g.n)) - np.eye(g.n))
+    return MultiplierOperator(make_named_symbol("gaussian_aniso", {"A": A}, g.n), g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2, 4, 6, 8, 64]), st.sampled_from([8, 12, 16]), st.booleans(), st.integers(0, 2**16))
+def test_so2_orbit_average_is_the_per_node_sum(m, N, vector, seed):
+    g = make_grid(2, N, 8.0)
+    f = _rand_vector(g, q=3.0, seed=seed) if vector else _rand_f(g, seed)
+    orbits = _assert_orbits_match_per_node_sum(_aniso(g), so_quadrature(2, m), f, "interp")
+    gcd = np.gcd(m, 4)
+    assert [len(members) for _, members in orbits] == [gcd] * (m // gcd)
+
+
+def _quarter_turn_products(R, turns):
+    return [Rotation(2, lattice_group(2)[t].M @ R.M) for t in turns]
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_orbit_average_with_duplicate_nodes_and_unequal_weights(vector):
+    g = make_grid(2, 16, 8.0)
+    f = _rand_vector(g, q=3.0, seed=21) if vector else _rand_f(g, 21)
+    R = haar_rotation(2, np.random.default_rng(22))
+    duplicated = subgroup_quadrature([R, R, *_quarter_turn_products(R, [1])])
+    orbits = _assert_orbits_match_per_node_sum(_aniso(g), duplicated, f, "interp")
+    assert [len(members) for _, members in orbits] == [3]
+    uneven = RotationQuadrature(tuple(_quarter_turn_products(R, [2, 0, 3])), [0.5, 0.3, 0.2])
+    orbits = _assert_orbits_match_per_node_sum(_aniso(g), uneven, f, "interp")
+    assert [len(members) for _, members in orbits] == [3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_group_average_is_one_orbit_and_the_per_node_sum(n):
+    g = make_grid(n, 8, 4.0)
+    for f in (_rand_f(g, 23), _rand_vector(g, q=3.0, seed=24)):
+        rq = subgroup_quadrature(lattice_group(n))
+        orbits = _assert_orbits_match_per_node_sum(_aniso(g), rq, f, "exact")
+        assert [len(members) for _, members in orbits] == [len(rq.rotations)]
+
+
+def test_3d_haar_nodes_are_orbits_of_one_and_the_per_node_sum():
+    g = make_grid(3, 8, 4.0)
+    rng = np.random.default_rng(25)
+    rq = subgroup_quadrature([haar_rotation(3, rng) for _ in range(3)])
+    for f in (_rand_f(g, 26), _rand_vector(g, q=3.0, seed=27)):
+        orbits = _assert_orbits_match_per_node_sum(_aniso(g), rq, f, "interp")
+        assert [R for R, _ in orbits] == list(rq.rotations)
+        assert all(len(members) == 1 for _, members in orbits)
+
+
+def test_orbit_average_makes_one_inverse_transform_and_two_gathers_per_orbit(monkeypatch):
+    g = make_grid(2, 16, 8.0)
+    op = MultiplierOperator(make_named_symbol("heat", {"t": 1.0}, 2), g)
+    inverse = _spy(monkeypatch, np.fft, "ifftn")
+    gathers = _spy(monkeypatch, _kernels, "rotate_interp")
+    average_conjugated(op, so_quadrature(2, 8), _rand_f(g, 28), mode="interp")
+    # two orbits of four nodes; the prefilter of f is one more inverse transform
+    assert len(inverse) == 2 + 1
+    assert len(gathers) == 2 * 2
 
 
 def test_rotate_function_exact_mode():

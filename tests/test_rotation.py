@@ -1,7 +1,7 @@
 """Rotations, Haar sampling, and quadrature rules on SO(n) and the sphere."""
 
 from itertools import permutations, product
-from math import gamma, pi
+from math import gamma, gcd, pi
 
 import numpy as np
 import pytest
@@ -92,6 +92,25 @@ def test_so_quadrature_basic_rules():
     got = sorted(_angle(R) for R in rq.rotations)
     assert np.allclose(got, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-14)
     assert np.allclose(rq.weights, 0.25)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 64, 256])
+def test_so2_rule_builds_later_nodes_as_exact_lattice_turns(m):
+    # with g = gcd(m, 4), node k >= m/g is T @ R_(k mod m/g), T the turn by
+    # 2 pi (k // (m/g)) / g, bitwise; node k stays at angle 2 pi k / m
+    rq = so_quadrature(2, m)
+    g = gcd(m, 4)
+    turns = lattice_group(2)
+    assert len(rq.rotations) == m and np.all(rq.weights == 1.0 / m)
+    for k, R in enumerate(rq.rotations):
+        if k >= m // g:
+            T = turns[(4 // g) * (k // (m // g))]
+            assert np.array_equal(R.M, T.M @ rq.rotations[k % (m // g)].M)
+        else:
+            assert np.array_equal(R.M, _rotation_2d(2.0 * np.pi * k / m))
+        error = np.angle(complex(R.M[0, 0], R.M[1, 0]) * np.exp(-2j * np.pi * k / m))
+        assert abs(error) <= 1e-15
+        assert np.max(np.abs(R.M - _rotation_2d(2.0 * np.pi * k / m))) <= 1e-15
 
 
 def test_so2_trig_exactness():

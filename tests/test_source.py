@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -128,3 +129,12 @@ def test_each_symbol_class_defines_evaluate_in_its_own_body():
         if "evaluate" not in vars(getattr(radialmult.symbols, name))
     ]
     assert not missing, missing
+
+
+def test_the_benchmark_tracers_bindings_exist():
+    # the tracer binds these names and arguments, and silently skips a missing
+    # private name, so a rename would zero its per-layer counters unnoticed
+    multiplier = radialmult.multiplier
+    assert "values" in inspect.signature(radialmult._kernels.rotate_interp).parameters
+    assert "rq" in inspect.signature(multiplier.average_conjugated).parameters
+    assert inspect.isfunction(getattr(multiplier, "_rotate_values", None))
