@@ -21,7 +21,9 @@ permutation G and coefficients c, the gather at G R of c equals the
 gather at R of c o G = `_permute_lattice(c, grid, G)`, because the
 tensor B-spline is invariant under signed permutations and the
 permutation acts on the coefficient lattice mod N, -N/2 rows included.
-`average_conjugated` rests its lattice-orbit grouping on this.  The
+The interp-mode `average_conjugated` rests its lattice-orbit grouping on
+this; the spline is the only reason for orbits, since an exact-mode
+average is one multiply by the averaged permuted symbol.  The
 rotation is not equivariant on its output side: turning the samples of
 S_r f by a quarter turn Q is not S_(rQ) f, because at even N the index
 -N/2 rows have no partner under the turn (for a random complex 64^2

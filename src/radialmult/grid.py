@@ -176,22 +176,17 @@ def transform(f: GridFunction, direction: str) -> GridFunction:
     round trip is the identity to machine precision.
     """
     grid = f.grid
-    axes = tuple(range(grid.n))
     if direction == "forward":
         if f.domain != "space":
             raise ValueError("forward transform expects a space-domain function")
-        out = np.fft.fftn(f.values, axes=axes) * grid.dx**grid.n
+        out = _dft_sum(f.values, grid.shape) * grid.dx**grid.n
         return replace(f, values=out, domain="frequency")
     if direction == "inverse":
         if f.domain != "frequency":
             raise ValueError("inverse transform expects a frequency-domain function")
-        return replace(f, values=_inverse_dft(f.values, grid, axes), domain="space")
+        out = _inverse_dft_sum(f.values, grid.shape) * (grid.N**grid.n / grid.L**grid.n)
+        return replace(f, values=out, domain="space")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def _inverse_dft(values: np.ndarray, grid: FrequencyGrid, axes=None) -> np.ndarray:
-    """L^-n times the inverse DFT sum over the grid axes (all axes by default)."""
-    return np.fft.ifftn(values, axes=axes) * (grid.N**grid.n / grid.L**grid.n)
 
 
 def _check_dimension(n: int) -> None:

@@ -8,12 +8,14 @@ carried through every transform, multiply and rotation unchanged.
 Rotation conjugation S_R^-1 M_phi S_R is available in two modes:
 "exact" for lattice-preserving rotations (pure index permutation,
 isometric) and "interp" for general rotations (periodic cubic-spline
-interpolation, tolerance-based assertions only).  An average groups
-its rotation nodes into lattice orbits G R (G a lattice symmetry that
-commutes with R) and pays one inverse transform and one gather at R^-1
-per orbit, a forward transform per node; in interp mode it prefilters f
-once per call and applies the symbol with the spline response 1/B
-folded in.
+interpolation, tolerance-based assertions only).  For a lattice symmetry
+G the conjugate S_G^-1 M_phi S_G is the multiplier M_(phi o G^-1)
+exactly, so an exact-mode average is one multiply by the averaged
+permuted symbol.  An interp-mode average groups its nodes into the
+lattice orbits G R that the spline's source-side symmetry allows and
+pays one inverse transform and one gather at R^-1 per orbit, a forward
+transform per member; it prefilters f once per call and applies the
+symbol with the spline response 1/B folded in.
 
 Positivity is decided through the convolution kernel K = F^-1 phi: the
 operator matrix has entries K(x_k - x_l), so the operator maps
@@ -28,15 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, GridFunction, _dft_sum, _inverse_dft, _inverse_dft_sum, _multiply
-from .rotation import (
-    Rotation,
-    RotationQuadrature,
-    _lattice_orbits,
-    _permute_lattice,
-    _signed_permutation,
-    subgroup_quadrature,
-)
+from .grid import FrequencyGrid, GridFunction, _dft_sum, _inverse_dft_sum, _multiply
+from .rotation import Rotation, RotationQuadrature, _lattice_orbits, _permute_lattice, subgroup_quadrature
 from .symbols import Symbol, sample_symbol
 
 __all__ = [
@@ -84,16 +79,14 @@ apply_vector = apply
 def _rotation_source(f: GridFunction, rotations, mode: str) -> np.ndarray:
     """What `_rotate_values` gathers from: f's values, or in interp mode their spline coefficients.
 
-    Every rotation and the mode are checked first, before any transform:
-    the dimension always, and in exact mode that each rotation is a
-    signed permutation.  The interp prefilter then runs once per call,
-    not once per rotation.
+    Every rotation's dimension and the mode are checked first, before
+    any transform, and the interp prefilter then runs once per call, not
+    once per rotation.  Exact mode rejects a rotation that is not a
+    signed permutation where it permutes, also before any transform.
     """
     if any(R.n != f.grid.n for R in rotations):
         raise ValueError("rotation dimension does not match grid")
     if mode == "exact":
-        for R in rotations:
-            _signed_permutation(R.M)
         return f.values
     if mode == "interp":
         return _kernels.spline_prefilter(f.values, f.grid.n)
@@ -122,10 +115,16 @@ def conjugated_apply(op: MultiplierOperator, R: Rotation, f: GridFunction, mode:
     return average_conjugated(op, subgroup_quadrature([R]), f, mode)
 
 
-#: Most values one stacked rotation of `average_conjugated` gathers: an orbit's
-#: members are rotated in chunks that fit, so a 24-member orbit at 32^3 does
-#: not hold 24 copies of f at once.
-_STACK_VALUES = 2**15
+def _weighted_sum(terms) -> np.ndarray:
+    """sum_j w_j a_j over pairs (a_j, w_j) of fresh arrays, in order, summed into the first a_j in place."""
+    total = None
+    for a, w in terms:
+        a *= w
+        if total is None:
+            total = a
+        else:
+            total += a
+    return total
 
 
 def average_conjugated(
@@ -133,76 +132,71 @@ def average_conjugated(
 ) -> GridFunction:
     """Weighted sum over rotation nodes of the conjugated operator applied to f.
 
-    The nodes are grouped into lattice orbits (`_lattice_orbits`): nodes
-    G R with G in `lattice_group(n)` and G R = R G.  For a signed
+    Exact mode: for a lattice symmetry G, S_G^-1 M_phi S_G is exactly
+    the multiplier with symbol phi o G^-1, the lattice sample permuted by
+    G^-1 = G^T.  So the average is one multiply of f by
+    sum_G w_G (phi o G^-1): one transform pair for any number of nodes,
+    and a node that is not a signed permutation raises before it.
+
+    Interp mode groups the nodes into lattice orbits (`_lattice_orbits`):
+    nodes G R with G in `lattice_group(n)` and G R = R G.  For a signed
     permutation G and c o G = `_permute_lattice(c, grid, G)` three
-    identities hold exactly on the periodic grid: the gather at G R of c
-    is the gather at R of c o G (exact permutations compose, and the
-    tensor B-spline is invariant under signed permutations of its
-    source); F(d o G) = (F d) o G; and the gathers are linear.  So a
-    node's term S_(GR)^-1 M_phi S_(GR) f is
-    S_R^-1 F^-1 [(psi . F S_R (c o G)) o G^-1], and an orbit costs one
-    gather at R of its members' sources c o G stacked on a trailing axis
-    (one per chunk of at most `_STACK_VALUES` values), one forward
-    transform per member, one inverse transform of the weighted sum of
-    the permuted spectra, and one gather at R^-1.  Here c is f, or in
-    interp mode its spline coefficients from one prefilter per call, and
-    psi the sampled symbol, in interp mode with the prefilter 1/B folded
-    in: the spline coefficients of M_phi g are F^-1 [(phi / B) . F g].
-    On SO(2) Haar measure is C4 x [0, pi/2), and `so_quadrature(2, m)`
-    builds its nodes as such products, so with 4 | m an orbit holds four
-    nodes; a generic 3-D node commutes with no lattice element but the
-    identity and is an orbit of one.  The reduction runs in the fixed
-    orbit and member order, so results are bit-reproducible.
+    identities hold exactly on the periodic grid: the spline gather at
+    G R of c is the gather at R of c o G (the tensor B-spline is
+    invariant under signed permutations of its source); F(d o G) =
+    (F d) o G; and the gathers are linear.  So a node's term
+    S_(GR)^-1 M_phi S_(GR) f is S_R^-1 F^-1 [(psi . F S_R (c o G)) o G^-1],
+    and an orbit costs one gather at R of its members' sources c o G
+    stacked on a trailing axis, one forward transform per member, one
+    inverse transform of the weighted sum of the permuted spectra, and
+    one gather at R^-1.  Here c are f's spline coefficients from one
+    prefilter per call, and psi the sampled symbol with the prefilter
+    1/B folded in: the spline coefficients of M_phi g are
+    F^-1 [(phi / B) . F g].  On SO(2) Haar measure is C4 x [0, pi/2),
+    and `so_quadrature(2, m)` builds its nodes as such products, so with
+    4 | m an orbit holds four nodes; at n = 3 every node is an orbit of
+    one.  Both modes reduce in a fixed order, so results are
+    bit-reproducible.
     """
     _check_operand(op, f)
     grid = f.grid
     values = _rotation_source(f, rq.rotations, mode)
-    symbol = op.sampled
-    if mode == "interp":
-        symbol = symbol * _kernels._prefilter_symbol(grid.N, grid.n)
+    if mode == "exact":
+        symbol = _weighted_sum(
+            (_permute_lattice(op.sampled, grid, G.M.T), w) for G, w in zip(rq.rotations, rq.weights)
+        )
+        return replace(f, values=_multiply(symbol, values))
+    symbol = op.sampled * _kernels._prefilter_symbol(grid.N, grid.n)
     symbol = symbol.reshape(symbol.shape + (1,) * (values.ndim - grid.n))
-    acc = np.zeros(f.values.shape, dtype=complex)
+    acc = None
     for R, members in _lattice_orbits(rq, grid.n):
-        # nested, so that the spectrum is freed before the gather at R^-1
-        term = _inverse_dft_sum(_orbit_spectrum(values, grid, R, members, symbol, mode), grid.shape)
-        acc += _rotate_values(term, grid, R.inverse(), mode)
-    return replace(f, values=acc)
-
-
-def _orbit_spectrum(values, grid, R, members, symbol, mode) -> np.ndarray:
-    """Sum over the members (G, w) of w (symbol . F S_R(values o G)) o G^-1, unscaled transforms.
-
-    The members' sources values o G are stacked on a trailing axis and
-    rotated in chunks of at most `_STACK_VALUES` values (one chunk holds at
-    least one member).
-    """
-    chunk = max(1, _STACK_VALUES // values.size)
-    spectrum = None
-    for start in range(0, len(members), chunk):
-        part = members[start : start + chunk]
-        sources = np.empty(values.shape + (len(part),), dtype=complex)
-        for j, (G, _) in enumerate(part):
+        sources = np.empty(values.shape + (len(members),), dtype=complex)
+        for j, (G, _) in enumerate(members):
             sources[..., j] = _permute_lattice(values, grid, G.M)
         rotated = _rotate_values(sources, grid, R, mode)
         del sources
-        for j, (G, w) in enumerate(part):
-            term = _dft_sum(rotated[..., j], grid.shape)
-            term *= symbol
-            term = _permute_lattice(term, grid, G.M.T)
-            term *= w
-            if spectrum is None:
-                spectrum = term
-            else:
-                spectrum += term
-    return spectrum
+        spectrum = _weighted_sum(
+            (_permute_lattice(_dft_sum(rotated[..., j], grid.shape) * symbol, grid, G.M.T), w)
+            for j, (G, w) in enumerate(members)
+        )
+        del rotated
+        term = _inverse_dft_sum(spectrum, grid.shape)
+        del spectrum  # before the gather at R^-1
+        term = _rotate_values(term, grid, R.inverse(), mode)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return replace(f, values=acc)
 
 
 def kernel(op: MultiplierOperator) -> GridFunction:
     """Convolution kernel K = F^-1 phi; apply() is periodic convolution with K."""
-    # the grid's inverse DFT, not the public `transform`: the benchmark's
-    # tracer counts this FFT in the multiplier layer
-    return GridFunction(op.grid, _inverse_dft(op.sampled, op.grid), domain="space")
+    # the grid's unscaled inverse DFT times L^-n, not the public `transform`:
+    # the benchmark's tracer counts this FFT in the multiplier layer
+    grid = op.grid
+    values = _inverse_dft_sum(op.sampled, grid.shape) * (grid.N**grid.n / grid.L**grid.n)
+    return GridFunction(grid, values, domain="space")
 
 
 #: Default tolerance of `positivity_report` on the kernel's negative part and imaginary residue.

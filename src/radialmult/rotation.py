@@ -145,8 +145,9 @@ def so_quadrature(n: int, m: int) -> RotationQuadrature:
     With g = gcd(m, 4), the first m/g nodes are computed from their
     angles and node k >= m/g is the exact product T @ R_(k mod m/g) of a
     turn T in C_g, the rotations of `lattice_group(2)` by multiples of
-    2 pi / g, so that `average_conjugated` finds each node's lattice
-    orbit bitwise.  At n = 1 it is the exact rule over O(1) = {+1, -1},
+    2 pi / g, so that an interp-mode `average_conjugated` finds each
+    node's lattice orbit bitwise (`_lattice_orbits`; exact mode needs no
+    orbits).  At n = 1 it is the exact rule over O(1) = {+1, -1},
     `lattice_group(1)`, and ignores m.
     """
     _check_dimension(n)
@@ -313,40 +314,31 @@ def _permute_lattice(values: np.ndarray, grid: FrequencyGrid, M: np.ndarray) -> 
 
 
 def _lattice_orbits(rq: RotationQuadrature, n: int) -> list[tuple[Rotation, list]]:
-    """rq's nodes grouped into lattice orbits: [(R, [(G, w), ...]), ...].
+    """rq's nodes grouped into the lattice orbits of the spline average: [(R, [(G, w), ...]), ...].
 
-    Each node G R of weight w lands in exactly one orbit (duplicates
-    included, each as its own member), where R is the orbit's first node
-    in rule order and G an element of `lattice_group(n)` with G R == R G.
-    Both conditions are bitwise matrix equalities, with -0.0 equal to
-    0.0; products by a signed permutation are exact, so an exact product
-    T @ R in the rule (as `so_quadrature(2, m)` builds them) is found.
-    Orbits come in the order of their first node, members in group order
-    and then rule order.  A node that commutes with no lattice element
-    but the identity is an orbit of one.
+    At n <= 2 every rotation commutes with `lattice_group(n)`, because
+    SO(2) and O(1) are abelian.  So a node joins the orbit of an earlier
+    node R when its matrix is bitwise G R for a G in the group, with
+    -0.0 equal to 0.0; a product by a signed permutation is exact, so
+    the products T @ R that `so_quadrature(2, m)` builds are found.
+    Duplicate nodes merge into one member whose weight is their sum, so
+    an orbit has at most 4 members.  Orbits come in the order of their
+    first node, whose member is the identity, and members in group
+    order.  At n = 3 a generic node commutes with no lattice element but
+    the identity, so every node is an orbit of one.
     """
-    mats = np.stack([R.M for R in rq.rotations]) + 0.0  # + 0.0 turns -0.0 into 0.0
-    nodes_at: dict[bytes, list[int]] = {}
-    for i, M in enumerate(mats):
-        nodes_at.setdefault(M.tobytes(), []).append(i)
+    if n == 3:
+        identity = Rotation(3, np.eye(3))
+        return [(R, [(identity, w)]) for R, w in zip(rq.rotations, rq.weights)]
     group = lattice_group(n)  # the identity first
-    commuting = []  # (node i, group index g, bytes of G_g R_i) wherever G_g R_i == R_i G_g
-    for g, G in enumerate(group):
-        GR = (G.M @ mats) + 0.0
-        for i in np.flatnonzero(np.all(GR == mats @ G.M, axis=(1, 2))).tolist():
-            commuting.append((i, g, GR[i].tobytes()))
-    commuting.sort(key=lambda entry: entry[:2])
-    taken = [False] * len(mats)
-    orbits = []
-    head = -1
-    for i, g, key in commuting:
-        if i != head:
-            if taken[i]:
-                continue  # a member of an earlier orbit
-            head = i
-            orbits.append((rq.rotations[i], []))
-        for j in nodes_at.get(key, ()):
-            if not taken[j]:
-                taken[j] = True
-                orbits[-1][1].append((group[g], rq.weights[j]))
-    return orbits
+    member_at: dict[bytes, tuple[int, int]] = {}  # bytes of G R -> (orbit, group index)
+    orbits = []  # (R, the summed weight per group element)
+    for R, w in zip(rq.rotations, rq.weights):
+        key = (R.M + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        if key not in member_at:
+            for g, G in enumerate(group):
+                member_at[((G.M @ R.M) + 0.0).tobytes()] = (len(orbits), g)
+            orbits.append((R, [0.0] * len(group)))
+        orbit, g = member_at[key]
+        orbits[orbit][1][g] += w
+    return [(R, [(group[g], w) for g, w in enumerate(sums) if w > 0]) for R, sums in orbits]

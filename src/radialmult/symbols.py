@@ -67,12 +67,12 @@ def _check_spd(A: np.ndarray, n: int) -> np.ndarray:
     return A
 
 
-def _positive(key: str):
-    """Check for one positive scalar parameter."""
+def _positive(key: str, note: str = ""):
+    """Check for one positive scalar parameter; `note` ends the refusal's message."""
 
     def check(p: dict, n: int) -> dict:
         value = float(p[key])
-        _require(value > 0, f"{key} must be positive, got {value}")
+        _require(value > 0, f"{key} must be positive, got {value}{note}")
         return {key: value}
 
     return check
@@ -92,11 +92,6 @@ def _check_riesz(p: dict, n: int) -> dict:
     _require(float(j).is_integer() and 1 <= j <= n,
              f"component index must be an integer in 1..{n}, got {j}")
     return {"j": int(j)}
-
-
-def _check_bochner_riesz(p: dict, n: int) -> dict:
-    _require(float(p["delta"]) >= 0, "delta must be nonnegative")
-    return {"delta": float(p["delta"])}
 
 
 def _check_monomial(p: dict, n: int) -> dict:
@@ -212,7 +207,9 @@ SYMBOL_SPECS: dict[str, SymbolSpec] = {
     "riesz": SymbolSpec(
         ("riesz",), _check_riesz, _cli_scalar("j"), _riesz),
     "bochner_riesz": SymbolSpec(
-        ("bochnerriesz",), _check_bochner_riesz, _cli_scalar("delta"),
+        # (1 - |xi|^2)_+ ** 0 would be 1 outside the ball too
+        ("bochnerriesz",), _positive("delta", "; delta = 0 is the ball indicator, ballind"),
+        _cli_scalar("delta"),
         lambda x, p: np.clip(1.0 - np.sum(x**2, axis=-1), 0.0, None) ** p["delta"]),
     "monomial": SymbolSpec(
         ("monomial",), _check_monomial,

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import radialmult.multiplier as multiplier
 import radialmult.verification as verification
 from radialmult.verification import VerifyConfig, run_all
 
@@ -80,3 +81,30 @@ def test_every_check_runs_at_n1():
     assert dict((r.criterion, r.details) for r in out)["10-quadrature-convergence"] == {
         "errors": (0.0, 0.0, 0.0, 0.0)
     }
+
+
+def test_checks_8_and_9_compare_two_independent_computations(monkeypatch):
+    # exact-mode averages multiply by the permuted symbol, so checks 8 and 9
+    # compose their operator side from rotate_function and apply; a symbol
+    # side left unrotated must then show, in both checks
+    ctx = verification._Context(VerifyConfig(N=16, L=8.0))
+    assert verification.check_conjugation_identity(ctx).passed
+    assert verification.check_q_vs_p(ctx).details["exact_c4"] <= 1e-12
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "rotated_symbol", lambda phi, R: phi)
+        assert not verification.check_conjugation_identity(ctx).passed
+        assert verification.check_q_vs_p(ctx).details["exact_c4"] > 1e-12
+
+    # and neither check's exact half calls the exact symbol path it certifies,
+    # directly or through `conjugated_apply`
+    average = multiplier.average_conjugated
+
+    def interp_only(op, rq, f, mode="exact"):
+        if mode == "exact":
+            raise AssertionError("exact-mode average called")
+        return average(op, rq, f, mode)
+
+    for module in (multiplier, verification):
+        monkeypatch.setattr(module, "average_conjugated", interp_only)
+    assert verification.check_conjugation_identity(ctx).passed
+    assert verification.check_q_vs_p(ctx).details["exact_c4"] <= 1e-12

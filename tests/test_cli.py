@@ -178,6 +178,13 @@ def test_positivity_tol_is_a_plain_number(tmp_path):
         assert not out.exists()
 
 
+def test_bochner_riesz_delta_0_exits_2_naming_the_ball_indicator(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["norms", "--symbol", "bochnerriesz:delta=0", "--out", str(out)]) == 2
+    assert "ballind" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     assert main(["radialize", "--symbol", "nope:t=1", "--out", str(tmp_path)]) == 2
     assert main(["radialize", "--out", str(tmp_path)]) == 2  # missing --symbol

@@ -246,7 +246,13 @@ def _per_node_average(op, rq, f, mode):
 
 def _assert_orbits_match_per_node_sum(op, rq, f, mode):
     orbits = _lattice_orbits(rq, f.grid.n)
-    assert sum(len(members) for _, members in orbits) == len(rq.rotations)
+    # the members G R are the distinct nodes, each weighted with the sum over its duplicates
+    members = [((G.M @ R.M + 0.0).tobytes(), w) for R, group in orbits for G, w in group]
+    node_weights = {}
+    for R, w in zip(rq.rotations, rq.weights):
+        key = (R.M + 0.0).tobytes()
+        node_weights[key] = node_weights.get(key, 0.0) + w
+    assert len(members) == len(node_weights) and dict(members) == node_weights
     out = average_conjugated(op, rq, f, mode).values
     ref = _per_node_average(op, rq, f, mode)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
@@ -280,7 +286,8 @@ def test_orbit_average_with_duplicate_nodes_and_unequal_weights(vector):
     R = haar_rotation(2, np.random.default_rng(22))
     duplicated = subgroup_quadrature([R, R, *_quarter_turn_products(R, [1])])
     orbits = _assert_orbits_match_per_node_sum(_aniso(g), duplicated, f, "interp")
-    assert [len(members) for _, members in orbits] == [3]
+    # the two copies of R merge into one member of weight 2/3
+    assert [[w for _, w in members] for _, members in orbits] == [[2.0 / 3.0, 1.0 / 3.0]]
     uneven = RotationQuadrature(tuple(_quarter_turn_products(R, [2, 0, 3])), [0.5, 0.3, 0.2])
     orbits = _assert_orbits_match_per_node_sum(_aniso(g), uneven, f, "interp")
     assert [len(members) for _, members in orbits] == [3]
@@ -288,11 +295,18 @@ def test_orbit_average_with_duplicate_nodes_and_unequal_weights(vector):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lattice_group_average_is_one_orbit_and_the_per_node_sum(n):
+    # exact mode forms no orbits: it multiplies by the averaged permuted symbol;
+    # interp mode makes the group one orbit at n <= 2 and 24 orbits of one at n = 3
     g = make_grid(n, 8, 4.0)
+    rq = subgroup_quadrature(lattice_group(n))
+    op = _aniso(g)
     for f in (_rand_f(g, 23), _rand_vector(g, q=3.0, seed=24)):
-        rq = subgroup_quadrature(lattice_group(n))
-        orbits = _assert_orbits_match_per_node_sum(_aniso(g), rq, f, "exact")
-        assert [len(members) for _, members in orbits] == [len(rq.rotations)]
+        out = average_conjugated(op, rq, f).values
+        ref = _per_node_average(op, rq, f, "exact")
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+        orbits = _assert_orbits_match_per_node_sum(op, rq, f, "interp")
+        sizes = [len(members) for _, members in orbits]
+        assert sizes == ([len(rq.rotations)] if n < 3 else [1] * 24)
 
 
 def test_3d_haar_nodes_are_orbits_of_one_and_the_per_node_sum():
@@ -314,6 +328,40 @@ def test_orbit_average_makes_one_inverse_transform_and_two_gathers_per_orbit(mon
     # two orbits of four nodes; the prefilter of f is one more inverse transform
     assert len(inverse) == 2 + 1
     assert len(gathers) == 2 * 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_average_is_one_transform_pair_whatever_the_node_count(monkeypatch, n):
+    g = make_grid(n, 8, 4.0)
+    op = _aniso(g)
+    group = lattice_group(n)
+    forward = _spy(monkeypatch, np.fft, "fftn")
+    inverse = _spy(monkeypatch, np.fft, "ifftn")
+    for f in (_rand_f(g, 29), _rand_vector(g, q=3.0, seed=30)):
+        for call in (
+            lambda: average_conjugated(op, subgroup_quadrature(group), f),
+            lambda: conjugated_apply(op, group[-1], f),
+        ):
+            forward.clear()
+            inverse.clear()
+            call()
+            assert (len(forward), len(inverse)) == (1, 1)
+
+
+def test_exact_average_peak_memory_is_a_few_grid_arrays(traced_peak_mib):
+    # the 24 permuted symbols are summed one by one into the first: the
+    # average holds a few 32^3 complex arrays (0.5 MiB each), never 24
+    g = make_grid(3, 32, 8.0)
+    op = _aniso(g)
+    f = _rand_f(g, 31)
+    assert traced_peak_mib(average_conjugated, op, subgroup_quadrature(lattice_group(3)), f) <= 2.5
+
+
+def test_interp_average_peak_memory_is_bounded(traced_peak_mib):
+    g = make_grid(2, 64, 16.0)
+    op = _aniso(g)
+    f = _rand_f(g, 32)
+    assert traced_peak_mib(average_conjugated, op, so_quadrature(2, 256), f, "interp") <= 2.0
 
 
 def test_rotate_function_exact_mode():

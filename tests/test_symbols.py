@@ -66,6 +66,14 @@ def test_invalid_parameters_rejected():
         make_named_symbol("gaussian_aniso", {"A": np.array([[1.0, 3.0], [3.0, 1.0]])}, 2)
 
 
+def test_bochner_riesz_needs_a_positive_delta():
+    # (1 - |xi|^2)_+ ** 0 is 1 outside the ball too; delta = 0 is `ballind`
+    with pytest.raises(ValueError, match="ballind"):
+        make_named_symbol("bochner_riesz", {"delta": 0.0}, 2)
+    for delta in (1e-3, 0.5, 1.0):
+        assert make_named_symbol("bochner_riesz", {"delta": delta}, 2).evaluate(np.array([2.0, 0.0])) == 0
+
+
 @pytest.mark.parametrize(
     "name,params",
     [
