@@ -45,6 +45,8 @@ class FrequencyGrid:
 
     The constructor validates (n, N, L) and stores them as int, int and
     float, so equal grids compare and hash equal whatever types built them.
+    It rejects an extent whose scales L^n, dx^n or (N/L)^n, which the
+    transforms and norms multiply by, overflow or are not normal floats.
     """
 
     n: int
@@ -60,6 +62,13 @@ class FrequencyGrid:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "L", float(self.L))
+        with np.errstate(over="ignore", under="ignore"):
+            scales = np.array([self.L, self.L / self.N, self.N / self.L]) ** self.n
+        if not np.all((scales >= np.finfo(float).tiny) & (scales < np.inf)):
+            raise ValueError(
+                f"extent {self.L} is out of range at n = {self.n}, N = {self.N}: "
+                "L^n, dx^n and (N/L)^n must be normal floats"
+            )
 
     @property
     def dx(self) -> float:

@@ -111,9 +111,10 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     number of radii (see `_SPHERE_BATCH_POINTS` for the traced peaks); a
     radius with more nodes is still one batch, since splitting it would
     change its rounding.
-    Each radius's row is then reduced by its own dot product: a
-    matrix-vector product rounds differently from a dot product, which
-    would make a radius's mean depend on how many radii share the call.
+    Each radius's row is then weighted in place and reduced by numpy's
+    pairwise sum along the row, which calls no BLAS: its order is fixed
+    by the row length alone, so a radius's mean depends neither on how
+    many radii share the batch nor on the BLAS thread count.
     A symbol that is not finite at some point of a sphere raises
     `ArithmeticError` naming the radius, so no mean is NaN or infinite.
     A lattice sample is not evaluable at points, so it raises `ValueError`.
@@ -138,9 +139,10 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
         if nonfinite.any():
             r = float(radii[batch][nonfinite][0])
             raise ArithmeticError(f"symbol is not finite on the sphere of radius {r}")
-        means[batch] = [np.dot(row, weights) for row in vals]
+        vals *= weights  # `evaluate` returns a new array
+        means[batch] = vals.sum(axis=1)
         # convex-average bound, the mechanism behind contractivity at p = 2;
-        # the slack is relative above 1 because a dot product rounds relatively
+        # the slack is relative above 1 because a pairwise sum rounds relatively
         if np.any(np.abs(means[batch]) > largest + 1e-13 * np.maximum(1.0, largest)):
             raise ArithmeticError("sphere mean exceeds the largest sampled value")
     return means

@@ -49,7 +49,8 @@ class Symbol:
         `points` may be a strided (..., n) view whose coordinates are
         contiguous blocks (the sphere means pass such a view).  Read the
         coordinates through the last axis; do not reshape the cloud to
-        (-1, n), which may copy it.
+        (-1, n), which may copy it.  Return a new array, which the caller
+        may overwrite (the sphere means weight it in place).
         """
         raise NotImplementedError
 

@@ -206,6 +206,7 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["positivity", *heat, "--tol", "inf"]) == 2
     assert main(["norms", *heat, "--seed", "-1"]) == 2
     assert main(["radialize", *heat, "--extent", "inf"]) == 2
+    assert main(["norms", *heat, "--extent", "1e160"]) == 2  # L^2 overflows
     with pytest.raises(SystemExit) as exc:  # the name=value form is gone; argparse rejects it
         main(["positivity", *heat, "--tol", "positivity=1e-8"])
     assert exc.value.code == 2
@@ -284,9 +285,18 @@ def test_config_keys_are_the_options_read(tmp_path):
             assert set(cfg) == read | {"command", "version"}
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_verify_files_exit_code_and_printout_agree(tmp_path, capsys, n):
-    rc = main(["verify", "--n", str(n), "--grid", "16", "--extent", "8", "--out", str(tmp_path)])
+@pytest.mark.parametrize(
+    "n,N,L",
+    [
+        (1, 16, 8.0),
+        (2, 16, 8.0),
+        # no lattice radius lies more than 2 dxi from the ball indicator's kink
+        (2, 4, 8.0),
+        (1, 4, 2.0),
+    ],
+)
+def test_verify_files_exit_code_and_printout_agree(tmp_path, capsys, n, N, L):
+    rc = main(["verify", "--n", str(n), "--grid", str(N), "--extent", str(L), "--out", str(tmp_path)])
     printed = capsys.readouterr().out.splitlines()
     doc = json.loads((tmp_path / "verify.json").read_text())
     checks = doc["checks"]
@@ -306,24 +316,41 @@ def test_verify_files_exit_code_and_printout_agree(tmp_path, capsys, n):
     assert csv_config == doc["config"]
 
 
-def test_exit_codes_through_module_entry_point(tmp_path):
-    def run(*argv):
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run(
-            [sys.executable, "-m", "radialmult.cli", *argv], env=env, capture_output=True, text=True
-        )
+def _run_module(*argv, **env):
+    """`python -m radialmult.cli argv` in a subprocess, with `env` added to the environment."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run(
+        [sys.executable, "-m", "radialmult.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
 
-    bad_flag = run("demo", "--order", "8", "--out", str(tmp_path / "demo"))
+
+def test_exit_codes_through_module_entry_point(tmp_path):
+    bad_flag = _run_module("demo", "--order", "8", "--out", str(tmp_path / "demo"))
     assert bad_flag.returncode == 2 and "unrecognized arguments" in bad_flag.stderr
-    bad_tol = run("positivity", "--symbol", "heat:t=1", "--tol", "inf", "--out", str(tmp_path / "p"))
+    bad_tol = _run_module("positivity", "--symbol", "heat:t=1", "--tol", "inf",
+                          "--out", str(tmp_path / "p"))
     assert bad_tol.returncode == 2 and "config error:" in bad_tol.stderr
-    named_tol = run("positivity", "--symbol", "heat:t=1", "--tol", "positivity=1e-8",
-                    "--out", str(tmp_path / "q"))
+    named_tol = _run_module("positivity", "--symbol", "heat:t=1", "--tol", "positivity=1e-8",
+                            "--out", str(tmp_path / "q"))
     assert named_tol.returncode == 2 and "invalid float value" in named_tol.stderr
-    ok = run("converge", "--symbol", "heat:t=1", "--orders", "8,16", "--out", str(tmp_path / "c"))
+    ok = _run_module("converge", "--symbol", "heat:t=1", "--orders", "8,16",
+                     "--out", str(tmp_path / "c"))
     assert ok.returncode == 0, ok.stderr
     assert (tmp_path / "c" / "converge.csv").exists()
+
+
+def test_radialize_files_are_byte_identical_at_any_blas_thread_count(tmp_path):
+    # 65,536 sphere nodes per radius: long enough for OpenBLAS to split a dot
+    # product across threads, which moved the last digits of both files
+    argv = ["radialize", "--symbol", "gaussaniso:a11=1,a22=4,a33=2", "--n", "3",
+            "--grid", "16", "--extent", "8", "--order", "256"]
+    for threads in ("1", "2"):
+        done = _run_module(*argv, "--out", str(tmp_path / threads), OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+    for name in ("profile.csv", "deviation.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):

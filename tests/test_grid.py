@@ -42,6 +42,12 @@ BAD_GRIDS = [
     (2, 16, 0.0),
     (2, 16, float("nan")),
     (2, 16, float("inf")),
+    # L^n, dx^n or (N/L)^n overflows or is not a normal float
+    (2, 16, 1e160),
+    (2, 16, 1e-300),
+    (3, 8, 1e103),
+    (1, 16, 1e-307),
+    (1, 16, 5e-324),
 ]
 
 

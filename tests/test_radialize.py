@@ -337,9 +337,9 @@ def test_non_finite_symbol_values_raise_naming_the_radius():
 @pytest.mark.parametrize("n,N,L,order", [(1, 32, 8.0, 8), (2, 32, 8.0, 256), (3, 16, 8.0, 64)])
 def test_project_means_are_bitwise_the_one_radius_means(n, N, L, order):
     # a radius's mean must not depend on how many radii share the batch, nor on
-    # how the batch's points are stored: every mean is bitwise the naive dot
-    # product over a C-ordered (m, n) cloud, for every catalog symbol and for
-    # its projection
+    # how the batch's points are stored: every mean is bitwise the pairwise sum
+    # of its radius alone over a C-ordered (m, n) cloud, for every catalog
+    # symbol and for its projection
     sq = sphere_quadrature(n, order)
     weights = sq.weights.astype(complex)
     radii = default_radii(make_grid(n, N, L))
@@ -349,8 +349,8 @@ def test_project_means_are_bitwise_the_one_radius_means(n, N, L, order):
         proj = project(phi, radii, sq)
         for psi, values in ((phi, proj.values), (proj, project(proj, radii, sq).values)):
             for k in range(1, len(radii)):
-                naive = np.dot(psi.evaluate(radii[k] * sq.nodes), weights)
-                assert np.array_equal(values[k], naive), (psi, radii[k])
+                alone = (psi.evaluate(radii[k] * sq.nodes) * weights).sum()
+                assert np.array_equal(values[k], alone), (psi, radii[k])
             for k in range(0, len(radii), 7):
                 assert values[k] == spherical_mean(psi, radii[k], sq)
 

@@ -116,6 +116,31 @@ def test_symbol_formulas_call_no_einsum():
     assert not found, found
 
 
+#: numpy's BLAS-backed products: their summation order may depend on the thread count.
+BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def test_sphere_means_reduce_with_no_blas_product():
+    # a sphere mean's last bits must not depend on the BLAS thread count
+    path = Path(radialmult.__file__).parent / "radialize.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (func,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_sphere_means"
+    ]
+    calls = [
+        f"radialize.py:{node.lineno} {_dotted(node.func)}"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] in BLAS_PRODUCTS
+    ]
+    matmuls = [
+        f"radialize.py:{node.lineno} @"
+        for node in ast.walk(func)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not calls + matmuls, calls + matmuls
+
+
 def test_the_dimension_rule_is_written_once():
     # every layer calls the grid's `_check_dimension` instead of its own copy
     count = sum(path.read_text().count("dimension must be 1, 2 or 3") for path in SOURCES)
