@@ -116,7 +116,7 @@ def test_symbol_formulas_call_no_einsum():
     assert not found, found
 
 
-#: numpy's BLAS-backed products: their summation order may depend on the thread count.
+#: numpy's products: BLAS may split their sums by thread count, and einsum sums naively.
 BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
 
 
