@@ -8,9 +8,12 @@ gathers from coefficients, so its callers prefilter once per call and
 may fold 1/B into a symbol they apply anyway (`_prefilter_symbol`).
 Each axis gets a table of its four wrapped tap offsets in the flattened
 coefficient array, so each of the 4^n corners is one flat `take` at a
-sum of table entries.  Fourth-order accuracy is needed to keep the
-rotation-average comparisons inside their stated tolerances; bilinear
-error on desk-scale grids is orders of magnitude too large.
+sum of table entries.  Output points are gathered in batches of
+`_GATHER_BATCH_POINTS`, each with its own coordinates, weights and
+tables, so a gather allocates no grid-sized array but its output.
+Fourth-order accuracy is needed to keep the rotation-average
+comparisons inside their stated tolerances; bilinear error on
+desk-scale grids is orders of magnitude too large.
 
 Only the n grid axes are filtered and rotated; trailing axes are
 carried, so every component of an X-valued field, or a stack of fields,
@@ -43,6 +46,14 @@ from .grid import _multiply
 #: Always False: there is no compiled backend.  Kept because the
 #: benchmark's machine-facts line reads it.
 USING_NUMBA = False
+
+#: Output points per `rotate_interp` batch.  A batch's coordinates,
+#: weights and tap tables take about 1 MiB at n = 3, so a gather's peak
+#: is its output plus batch-sized arrays, not a dozen grid-sized ones
+#: (traced peak at 64^3: 5.6 MiB with batches, 51.0 MiB in one pass).
+#: Every grid of at most 4,096 points, every 2-D grid up to 64^2
+#: included, is one batch.
+_GATHER_BATCH_POINTS = 2**12
 
 
 def _prefilter_symbol(N: int, n: int) -> np.ndarray:
@@ -85,6 +96,15 @@ def rotate_interp(values: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> 
     n the order of the square matrix R; trailing fiber axes are carried.
     Rotation acts in index space (the grid spacing cancels), so the
     spline is gathered at fractional signed indices R @ j, wrapped mod N.
+    R must be finite, and every R @ j must floor to an int32; otherwise
+    `ValueError`.
+
+    Output points run in batches of at most `_GATHER_BATCH_POINTS`
+    consecutive flat indices.  A batch forms its signed indices j from
+    the flat index, then R @ j, the floors, the 4n weights and the n tap
+    tables, and runs the corner loop into its slice of `out`.  Every
+    point gets the same arithmetic in any batch, and every array but the
+    output is batch-sized.
 
     `taps[axis][off]` is the flat offset of the tap at floor(t) + off - 1
     along `axis`: that index wrapped mod N, times the axis's flat stride.
@@ -103,38 +123,43 @@ def rotate_interp(values: np.ndarray, R: np.ndarray, index_axis: np.ndarray) -> 
         raise ValueError(f"values must start with the grid axes {grid_shape}, got {values.shape}")
     if N**n >= 2**31:
         raise ValueError(f"grid of {N}^{n} points exceeds the int32 tap tables")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("rotation must be finite")
+    index_axis = np.asarray(index_axis)
+    # |(R @ j)_i| <= max|j| * sum_l |R_il|, so every floor fits in int32
+    reach = np.max(np.abs(index_axis)) * np.max(np.abs(R).sum(axis=1))
+    if reach >= 2**31 - 1:
+        raise ValueError(f"sample positions reach {reach:.3g}, beyond the int32 tap tables")
     fiber = values.shape[n:]
-    # each coordinate array is freed once used, so that only the weights
-    # and the int32 tap tables live through the corner loop
-    J = np.stack(np.meshgrid(*([index_axis] * n), indexing="ij"), axis=0).astype(float)
-    t = np.tensordot(R, J, axes=([1], [0]))
-    del J
-    i0 = np.floor(t)
-    weights = [_bspline_weights(frac) for frac in t - i0]
-    del t
-    base = np.mod(i0.astype(np.int32), np.int32(N))
-    del i0
-    offsets = np.arange(4).reshape((4,) + (1,) * n)
-    taps = []
-    for axis in range(n):
-        # wrapped[b + off] = ((b + off - 1) mod N) * stride for b in [0, N)
-        wrapped = np.mod(np.arange(-1, N + 2, dtype=np.int32), N) * np.int32(N ** (n - 1 - axis))
-        taps.append(wrapped[base[axis] + offsets])
-    del base
-    flat = values.reshape((N**n,) + fiber)
-    out = np.zeros(values.shape, dtype=complex)
-    buf = np.empty_like(out)
-    for corner in range(4**n):
-        offs = [corner // 4**axis % 4 for axis in range(n)]
-        w = weights[0][offs[0]]
-        idx = taps[0][offs[0]]
-        for axis in range(1, n):
-            w = w * weights[axis][offs[axis]]
-            idx = idx + taps[axis][offs[axis]]
-        # cast first: numpy's mixed real * complex multiply casts the real
-        # operand through a buffer anyway, more slowly
-        w = w.astype(complex).reshape(w.shape + (1,) * len(fiber))
-        # every index is in range, so "wrap" wraps nothing; it spares the
-        # bounds pass and the buffered `out` of the default "raise"
-        out += np.multiply(w, flat.take(idx, axis=0, out=buf, mode="wrap"), out=buf)
-    return out
+    points = N**n
+    strides = [N ** (n - 1 - axis) for axis in range(n)]
+    # wrapped[b + off] = ((b + off - 1) mod N) * stride for b in [0, N)
+    wrapped = [np.mod(np.arange(-1, N + 2, dtype=np.int32), N) * np.int32(stride) for stride in strides]
+    offsets = np.arange(4)[:, None]
+    corners = [[corner // 4**axis % 4 for axis in range(n)] for corner in range(4**n)]
+    flat = values.reshape((points,) + fiber)
+    out = np.zeros(flat.shape, dtype=complex)
+    buf = np.empty((min(points, _GATHER_BATCH_POINTS),) + fiber, dtype=complex)
+    for start in range(0, points, _GATHER_BATCH_POINTS):
+        k = np.arange(start, min(start + _GATHER_BATCH_POINTS, points))
+        J = np.stack([index_axis[k // stride % N] for stride in strides]).astype(float)
+        t = np.tensordot(R, J, axes=([1], [0]))
+        i0 = np.floor(t)
+        weights = [_bspline_weights(frac) for frac in t - i0]
+        base = np.mod(i0.astype(np.int32), np.int32(N))
+        taps = [table[b + offsets] for table, b in zip(wrapped, base)]
+        block = out[start:start + len(k)]
+        scratch = buf[:len(k)]
+        for offs in corners:
+            w = weights[0][offs[0]]
+            idx = taps[0][offs[0]]
+            for axis in range(1, n):
+                w = w * weights[axis][offs[axis]]
+                idx = idx + taps[axis][offs[axis]]
+            # cast first: numpy's mixed real * complex multiply casts the real
+            # operand through a buffer anyway, more slowly
+            w = w.astype(complex).reshape(w.shape + (1,) * len(fiber))
+            # every index is in range, so "wrap" wraps nothing; it spares the
+            # bounds pass and the buffered `out` of the default "raise"
+            block += np.multiply(w, flat.take(idx, axis=0, out=scratch, mode="wrap"), out=scratch)
+    return out.reshape(values.shape)

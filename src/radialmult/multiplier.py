@@ -155,8 +155,9 @@ def average_conjugated(
     F^-1 [(phi / B) . F g].  On SO(2) Haar measure is C4 x [0, pi/2),
     and `so_quadrature(2, m)` builds its nodes as such products, so with
     4 | m an orbit holds four nodes; at n = 3 every node is an orbit of
-    one.  Both modes reduce in a fixed order, so results are
-    bit-reproducible.
+    one, and an orbit whose one member is the identity gathers from c
+    itself, with no stacked copy.  Both modes reduce in a fixed order,
+    so results are bit-reproducible.
     """
     _check_operand(op, f)
     grid = f.grid
@@ -169,10 +170,14 @@ def average_conjugated(
     symbol = op.sampled * _kernels._prefilter_symbol(grid.N, grid.n)
     symbol = symbol.reshape(symbol.shape + (1,) * (values.ndim - grid.n))
     acc = None
+    identity = np.eye(grid.n)
     for R, members in _lattice_orbits(rq, grid.n):
-        sources = np.empty(values.shape + (len(members),), dtype=complex)
-        for j, (G, _) in enumerate(members):
-            sources[..., j] = _permute_lattice(values, grid, G.M)
+        if len(members) == 1 and np.array_equal(members[0][0].M, identity):
+            sources = values[..., None]  # the identity's source is c itself: a view, no copy
+        else:
+            sources = np.empty(values.shape + (len(members),), dtype=complex)
+            for j, (G, _) in enumerate(members):
+                sources[..., j] = _permute_lattice(values, grid, G.M)
         rotated = _rotate_values(sources, grid, R, mode)
         del sources
         spectrum = _weighted_sum(

@@ -85,15 +85,18 @@ def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
     zero products change nothing.  Multiplying by one reciprocal per point
     costs a fraction of the masked complex division.  A subnormal |y|
     has no finite reciprocal, so those entries are first scaled by an
-    exact power of two.
+    exact power of two.  When every magnitude is normal, the masks and
+    zero-filled outputs are skipped; the product is the same.
     """
     normal = mags >= np.finfo(float).tiny
+    if normal.all():
+        return y * (1.0 / mags)
     inv = np.divide(1.0, mags, out=np.zeros_like(mags), where=normal)
     out = np.multiply(y, inv, out=np.zeros_like(y), where=normal)
-    if not normal.all():  # zeros, NaN, or subnormal magnitudes
-        small = (mags > 0) & ~normal
-        scaled = y[small] * 2.0**600
-        out[small] = scaled / np.abs(scaled)
+    # zeros, NaN, or subnormal magnitudes
+    small = (mags > 0) & ~normal
+    scaled = y[small] * 2.0**600
+    out[small] = scaled / np.abs(scaled)
     return out
 
 

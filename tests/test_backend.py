@@ -137,6 +137,43 @@ def test_rotate_interp_rejects_mismatched_shapes():
         _kernels.rotate_interp(huge, np.eye(3), np.arange(-1024, 1024))
 
 
+def test_rotate_interp_rejects_non_finite_or_far_positions():
+    g = make_grid(2, 16, 8.0)
+    vals = np.ones(g.shape, dtype=complex)
+    for bad in (np.full((2, 2), np.nan), np.array([[1.0, 0.0], [np.inf, 1.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            _kernels.rotate_interp(vals, bad, g.index_axis())
+    # floor(R @ j) must fit the int32 cast, or the taps wrap silently
+    with pytest.raises(ValueError, match="int32"):
+        _kernels.rotate_interp(vals, np.diag([1e12, 1.0]), g.index_axis())
+    # far but within range: the spline of constant coefficients is constant
+    out = _kernels.rotate_interp(vals, np.diag([1e8, 1.0]), g.index_axis())
+    assert np.max(np.abs(out - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 8)])
+def test_rotate_interp_is_independent_of_the_batch_size(monkeypatch, n, N):
+    # 37 leaves a remainder batch; every point must get the same arithmetic
+    rng = np.random.default_rng(20 + n)
+    g = make_grid(n, N, 8.0)
+    R = rng.standard_normal((n, n))  # generic fractional positions
+    for shape in (g.shape, g.shape + (3,), g.shape + (3, 4)):  # scalar, l_3 fiber, 4-member stack
+        coeffs = _random_field(shape, rng)
+        monkeypatch.setattr(_kernels, "_GATHER_BATCH_POINTS", 2**30)
+        whole = _kernels.rotate_interp(coeffs, R, g.index_axis())
+        monkeypatch.setattr(_kernels, "_GATHER_BATCH_POINTS", 37)
+        assert np.array_equal(_kernels.rotate_interp(coeffs, R, g.index_axis()), whole)
+
+
+def test_rotate_interp_peak_memory_is_its_output_and_one_batch(traced_peak_mib):
+    # the 64^3 output is 4 MiB; grid-sized coordinates, weights and tap
+    # tables would add about 47 MiB
+    g = make_grid(3, 64, 8.0)
+    coeffs = _random_field(g.shape, np.random.default_rng(6))
+    R = haar_rotation(3, np.random.default_rng(7)).M
+    assert traced_peak_mib(_kernels.rotate_interp, coeffs, R, g.index_axis()) <= 8.0
+
+
 @pytest.mark.parametrize("N", [8, 16])
 @pytest.mark.parametrize("n", [2, 3])
 def test_rotate_interp_is_equivariant_on_its_source(n, N):

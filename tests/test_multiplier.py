@@ -364,6 +364,31 @@ def test_interp_average_peak_memory_is_bounded(traced_peak_mib):
     assert traced_peak_mib(average_conjugated, op, so_quadrature(2, 256), f, "interp") <= 2.0
 
 
+def test_interp_average_3d_peak_memory_is_bounded(traced_peak_mib):
+    # every generic 3-D node is an orbit of one: its gather reads f's spline
+    # coefficients in place, and each gather holds one batch of tap tables
+    g = make_grid(3, 32, 8.0)
+    op = _aniso(g)
+    f = _rand_f(g, 33)
+    rng = np.random.default_rng(34)
+    rq = subgroup_quadrature([haar_rotation(3, rng) for _ in range(3)])
+    assert traced_peak_mib(average_conjugated, op, rq, f, "interp") <= 5.0
+
+
+@pytest.mark.parametrize("N, batch", [(8, 37), (32, None)])  # None: the module's own batch size
+def test_interp_average_3d_is_independent_of_the_gather_batch(monkeypatch, N, batch):
+    batch = batch or _kernels._GATHER_BATCH_POINTS
+    g = make_grid(3, N, 8.0)
+    op = _aniso(g)
+    f = _rand_f(g, 35)
+    rng = np.random.default_rng(36)
+    rq = subgroup_quadrature([haar_rotation(3, rng) for _ in range(3)])
+    monkeypatch.setattr(_kernels, "_GATHER_BATCH_POINTS", g.N**g.n)
+    whole = average_conjugated(op, rq, f, "interp").values
+    monkeypatch.setattr(_kernels, "_GATHER_BATCH_POINTS", batch)
+    assert np.array_equal(average_conjugated(op, rq, f, "interp").values, whole)
+
+
 def test_rotate_function_exact_mode():
     g = make_grid(2, 16, 8.0)
     f = _rand_f(g, 5)
