@@ -228,7 +228,12 @@ def positivity_report(op: MultiplierOperator, tol: float = POSITIVITY_TOL) -> Po
     """
     if not 0.0 <= tol < np.inf:  # NaN fails too
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    K = kernel(op).values
+    return _kernel_positivity(kernel(op), tol)
+
+
+def _kernel_positivity(kernel_fn: GridFunction, tol: float = POSITIVITY_TOL) -> PositivityReport:
+    """`positivity_report` of the operator whose convolution kernel is `kernel_fn`."""
+    K = kernel_fn.values
     min_kernel = float(np.min(K.real))
     max_imag = float(np.max(np.abs(K.imag)))
     if not np.all(np.isfinite(K)):

@@ -54,12 +54,14 @@ INDICATOR_ORDER = 4096
 RADIALITY_ORDER = 8
 #: Sphere orders whose means `convergence_errors` compares with an oracle rule.
 CONVERGENCE_ORDERS = (8, 16, 32, 64)
-#: Largest number of points phi is evaluated at in one sphere-mean batch.
-#: It bounds a projection's traced peak memory by the batch: 3.6 MiB for
-#: the box indicator at n = 2, order 4096, and 5.0 MiB for an n = 3
-#: Gaussian at order 256 (47.3 and 65.0 MiB at 2^20).  A radius with more
-#: nodes is still one batch of its own.
-_SPHERE_BATCH_POINTS = 2**16
+#: Largest number of points phi is evaluated at in one `evaluate` call of
+#: the sphere means.  It bounds a projection's traced peak memory: 1.2 MiB
+#: for the box indicator at n = 2, order 4096, and 2.1 MiB for an n = 3
+#: Gaussian at order 256 (3.6 and 5.0 MiB with 2^16-point batches of whole
+#: radii, 47.3 and 65.0 MiB at 2^20).  Batches hold whole radii; a radius
+#: with more nodes, such as the 65,536 of n = 3, order 256, is evaluated in
+#: chunks of its nodes.
+_SPHERE_BATCH_POINTS = 2**14
 
 
 def default_radii(grid: FrequencyGrid) -> np.ndarray:
@@ -86,37 +88,40 @@ def default_order(
     return indicator if phi.kink else smooth
 
 
-def _sphere_points(radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
-    """The (K, m, n) points r_k * nu_i, stored coordinate-major.
+def _sphere_points(radii: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The (K, c, n) points r_k * nu_i of the given unit nodes, stored coordinate-major.
 
-    The result is a view of a C-contiguous (n, K, m) buffer, so each
+    The result is a view of a C-contiguous (n, K, c) buffer, so each
     coordinate is one contiguous block and a formula's reduction over
     the last axis reads contiguous rows.  `out=` fixes that layout:
     without it numpy lays the product out in its operands' stride order,
     which is coordinate-last again.
     """
-    buf = np.empty((sq.n, len(radii), len(sq.weights)))
-    np.multiply(radii[:, None], sq.nodes.T[:, None, :], out=buf)
+    buf = np.empty((nodes.shape[1], len(radii), len(nodes)))
+    np.multiply(radii[:, None], nodes.T[:, None, :], out=buf)
     return np.moveaxis(buf, 0, -1)
 
 
 def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
     """Average of phi over the sphere of each radius; phi(0) exactly at r = 0.
 
-    Positive radii are evaluated in batches of whole radii, at most
-    `_SPHERE_BATCH_POINTS` = 2^16 points each, on the coordinate-major
-    points of `_sphere_points`; each batch's points are made inside the
-    `evaluate` call, so they are freed before the next batch is built.
-    The budget bounds the kernel's peak memory by the batch, not by the
-    number of radii (see `_SPHERE_BATCH_POINTS` for the traced peaks); a
-    radius with more nodes is still one batch, since splitting it would
-    change its rounding.
-    Each radius's row is then weighted in place by scaling its float
-    view, which numpy runs with SIMD, unlike a complex multiply by
-    zero-imaginary weights, and reduced by numpy's pairwise sum along
-    the row, which calls no BLAS: its order is fixed
-    by the row length alone, so a radius's mean depends neither on how
-    many radii share the batch nor on the BLAS thread count.
+    No `evaluate` call sees more than `_SPHERE_BATCH_POINTS` = 2^14
+    points, so the kernel's peak memory is bounded by that budget, not
+    by the number of radii or of nodes (see `_SPHERE_BATCH_POINTS` for
+    the traced peaks).  Positive radii are taken in batches of whole
+    radii; a radius with more nodes than the budget is a batch of its
+    own, evaluated in chunks of at most 2^14 of its nodes.  Each call's
+    points are made inside it, on the coordinate-major layout of
+    `_sphere_points`, so they are freed before the next call's are built.
+    Each chunk is weighted straight into its radii's rows of one
+    preallocated buffer, its real and imaginary parts each scaled as a
+    strided real view: the products are those of a real multiply, with
+    no repeated-weights array, where a complex multiply by zero-imaginary
+    weights would also add signed zeros.  A row is then reduced whole by
+    numpy's pairwise sum, which calls no BLAS: its
+    order is fixed by the row length alone, so a radius's mean depends
+    neither on how many radii share the batch, nor on how its nodes are
+    chunked, nor on the BLAS thread count.
     A symbol that is not finite at some point of a sphere raises
     `ArithmeticError` naming the radius, so no mean is NaN or infinite.
     A lattice sample is not evaluable at points, so it raises `ValueError`.
@@ -131,20 +136,27 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     if origin.any():
         means[origin] = eval_symbol(phi, np.zeros(phi.n))
     positive = np.flatnonzero(~origin)
-    # each weight once per real and once per imaginary part of the float view
-    weights = np.repeat(sq.weights, 2)
-    step = max(1, _SPHERE_BATCH_POINTS // len(sq.weights))
+    m = len(sq.weights)
+    step = max(1, _SPHERE_BATCH_POINTS // m)  # whole radii per batch
+    chunk = min(m, _SPHERE_BATCH_POINTS)  # nodes per call
+    weighted = np.empty((min(step, len(positive)), m), dtype=complex)
     for start in range(0, len(positive), step):
         batch = positive[start:start + step]
-        vals = phi.evaluate(_sphere_points(radii[batch], sq))  # (K, m)
-        largest = np.max(np.abs(vals), axis=1)  # NaN where a row has one
+        rows = weighted[:len(batch)]
+        largest = np.zeros(len(batch))
+        for c0 in range(0, m, chunk):
+            c1 = min(c0 + chunk, m)
+            vals = phi.evaluate(_sphere_points(radii[batch], sq.nodes[c0:c1]))  # (K, c)
+            # NaN where a row has one, and np.maximum keeps it
+            np.maximum(largest, np.max(np.abs(vals), axis=1), out=largest)
+            part, w = rows[:, c0:c1], sq.weights[c0:c1]
+            np.multiply(vals.real, w, out=part.real)
+            np.multiply(vals.imag, w, out=part.imag)
         nonfinite = ~np.isfinite(largest)
         if nonfinite.any():
             r = float(radii[batch][nonfinite][0])
             raise ArithmeticError(f"symbol is not finite on the sphere of radius {r}")
-        parts = vals.view(float)  # `evaluate` returns a new array
-        parts *= weights
-        means[batch] = vals.sum(axis=1)
+        means[batch] = rows.sum(axis=1)
         # convex-average bound, the mechanism behind contractivity at p = 2;
         # the slack is relative above 1 because a pairwise sum rounds relatively
         if np.any(np.abs(means[batch]) > largest + 1e-13 * np.maximum(1.0, largest)):

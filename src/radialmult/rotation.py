@@ -23,6 +23,7 @@ and an operator-side average takes the even part, as `project` does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,7 +102,14 @@ class SphereQuadrature:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != self.n:
             raise ValueError(f"nodes must have shape (m, {self.n})")
-        if not np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-12:  # NaN fails too
+        # ||nu| - 1| in one buffer, |nu|^2 summed a coordinate at a time: no
+        # (m, n) squared temporary
+        error = np.zeros(len(nodes))
+        for coordinate in nodes.T:
+            error += coordinate * coordinate
+        np.sqrt(error, out=error)
+        error -= 1.0
+        if not np.max(np.abs(error, out=error)) <= 1e-12:  # NaN fails too
             raise ValueError("nodes must be unit vectors")
         if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-14):
             raise ValueError("weights must be positive and sum to 1")
@@ -138,6 +146,50 @@ def _euler_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return Rz_a @ Ry_b @ Rz_g
 
 
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-point Gauss-Legendre rule on [-1, 1]: increasing nodes and their weights.
+
+    Newton's method finds the nodes in [0, 1) from Tricomi's initial
+    guesses, evaluating P_k and P_k' by the three-term recurrence for all
+    of them at once, so the rule costs O(k^2) operations and O(k) memory
+    where an eigensolve of the Jacobi matrix costs O(k^3).  The other
+    half is mirrored, so the nodes are exactly antisymmetric (the middle
+    node of an odd rule is exactly 0) and the weights exactly symmetric.
+    The weights are 2 / ((1 - x^2) P_k'(x)^2), normalized to sum to 2.
+    """
+    if k < 1:
+        raise ValueError(f"Gauss-Legendre rule needs k >= 1 nodes, got {k}")
+    half = (k + 1) // 2
+    i = np.arange(1, half + 1)
+    # Tricomi's approximation to the i-th largest root
+    x = (1.0 - (k - 1) / (8.0 * k**3)) * np.cos(np.pi * (4 * i - 1) / (4 * k + 2))
+
+    def legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_k(x) and P_k'(x) by (j + 1) P_(j+1) = (2j + 1) x P_j - j P_(j-1)."""
+        prev, p = np.ones_like(x), x.copy()
+        for j in range(1, k):
+            prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+        return p, k * (x * p - prev) / (x * x - 1.0)
+
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 4 * np.finfo(float).eps:
+            break
+    else:
+        raise ArithmeticError(f"Newton's method did not converge for the {k}-point rule")
+    if k % 2:
+        x[-1] = 0.0  # P_k is odd: its middle root is 0
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes, weights = np.empty(k), np.empty(k)
+    nodes[:half], nodes[k - half:] = -x, x[::-1]  # the odd rule's middle is +0.0
+    weights[:half], weights[k - half:] = w, w[::-1]
+    weights *= 2.0 / weights.sum()
+    return nodes, weights
+
+
 def so_quadrature(n: int, m: int) -> RotationQuadrature:
     """Deterministic quadrature rule for normalized Haar measure on SO(n).
 
@@ -163,7 +215,7 @@ def so_quadrature(n: int, m: int) -> RotationQuadrature:
         rots = base + [Rotation(2, T.M @ R.M) for T in turns for R in base]
         return RotationQuadrature(tuple(rots), np.full(m, 1.0 / m))
     # n == 3: Haar measure factors as dalpha/2pi * d(cos beta)/2 * dgamma/2pi
-    nodes_cb, weights_cb = np.polynomial.legendre.leggauss(m)
+    nodes_cb, weights_cb = _gauss_legendre(m)
     angles = 2.0 * np.pi * np.arange(m) / m
     rots = []
     weights = []
@@ -197,17 +249,18 @@ def sphere_quadrature(n: int, m: int) -> SphereQuadrature:
         nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return SphereQuadrature(2, nodes, np.full(m, 1.0 / m))
     # n == 3: Gauss-Legendre in cos(theta) times uniform azimuth
-    ct, wt = np.polynomial.legendre.leggauss(m)
+    ct, wt = _gauss_legendre(m)
     phis = 2.0 * np.pi * np.arange(m) / m
     st = np.sqrt(1.0 - ct**2)
-    # node i*m + j sits at polar node i and azimuth j
-    nodes = np.stack(
-        [np.outer(st, np.cos(phis)).ravel(), np.outer(st, np.sin(phis)).ravel(), np.repeat(ct, m)],
-        axis=1,
-    )
+    # node i*m + j sits at polar node i and azimuth j; each coordinate is
+    # written into the one node buffer, with no (m, m) temporaries
+    nodes = np.empty((m, m, 3))
+    np.multiply.outer(st, np.cos(phis), out=nodes[..., 0])
+    np.multiply.outer(st, np.sin(phis), out=nodes[..., 1])
+    nodes[..., 2] = ct[:, None]
     weights = np.repeat(wt / 2.0 / m, m)
-    weights = weights / weights.sum()
-    return SphereQuadrature(3, nodes, weights)
+    weights /= weights.sum()
+    return SphereQuadrature(3, nodes.reshape(m * m, 3), weights)
 
 
 def subgroup_quadrature(rotations: list[Rotation]) -> RotationQuadrature:
@@ -216,7 +269,7 @@ def subgroup_quadrature(rotations: list[Rotation]) -> RotationQuadrature:
     return RotationQuadrature(tuple(rotations), np.full(k, 1.0 / k))
 
 
-def lattice_group(n: int) -> list[Rotation]:
+def lattice_group(n: int) -> tuple[Rotation, ...]:
     """The rotations that map the frequency lattice onto itself.
 
     These are the signed permutation matrices of determinant +1: 4 and
@@ -224,11 +277,18 @@ def lattice_group(n: int) -> list[Rotation]:
     reflection included.  They are listed breadth-first from the
     identity under the generators: the quarter turns in the coordinate
     planes (i, i+1), or the reflection at n = 1.  So at n = 2 the list
-    runs through the turns by 0, 90, 180 and 270 degrees.
+    runs through the turns by 0, 90, 180 and 270 degrees.  The group is
+    built once per dimension, and every call returns that same tuple,
+    whose matrices are read-only.
     """
     # before the walk: np.eye rejects n < 0 in its own words, and the walk
     # would build all 2^(n-1) n! elements before `Rotation` rejects one
     _check_dimension(n)
+    return _lattice_group(int(n))
+
+
+@functools.cache
+def _lattice_group(n: int) -> tuple[Rotation, ...]:
     turns = [np.eye(n, dtype=int) for _ in range(n - 1)]
     for i, T in enumerate(turns):
         T[i : i + 2, i : i + 2] = [[0, -1], [1, 0]]
@@ -241,7 +301,10 @@ def lattice_group(n: int) -> list[Rotation]:
             if P.tobytes() not in seen:
                 seen.add(P.tobytes())
                 group.append(P)
-    return [Rotation(n, M.astype(float)) for M in group]
+    rotations = tuple(Rotation(n, M.astype(float)) for M in group)
+    for R in rotations:
+        R.M.flags.writeable = False  # shared by every caller
+    return rotations
 
 
 def c4_rotations() -> list[Rotation]:

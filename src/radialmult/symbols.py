@@ -64,7 +64,10 @@ def _check_spd(A: np.ndarray, n: int) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     _require(A.shape == (n, n), f"matrix parameter must be {n}x{n}, got shape {A.shape}")
     _require(np.allclose(A, A.T, atol=1e-12), "matrix parameter must be symmetric")
-    _require(np.min(np.linalg.eigvalsh(A)) > 0, "matrix parameter must be positive definite")
+    try:  # a Cholesky factor exists exactly for the positive definite A
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise ValueError("matrix parameter must be positive definite") from None
     return A
 
 

@@ -19,12 +19,14 @@ import numpy as np
 from .grid import GridFunction, lp_norm, make_grid, transform
 from .multiplier import (
     MultiplierOperator,
+    _kernel_positivity,
     apply,
     average_conjugated,
+    kernel,
     positivity_report,
     rotate_function,
 )
-from .norms import norm_lower_power, norm_p2_exact, norm_upper_kernel
+from .norms import _kernel_mass, norm_lower_power, norm_p2_exact, norm_upper_kernel
 from .radialize import CONVERGENCE_ORDERS, INDICATOR_ORDER, SMOOTH_ORDER, convergence_errors
 from .radialize import default_order, default_radii, project, radiality
 from .rotation import (
@@ -177,18 +179,21 @@ def check_contractivity_exact(ctx: _Context) -> CheckResult:
         sup_orig, sup_proj = norm_p2_exact(op).value, norm_p2_exact(proj_op).value
         details[f"sup_margin_{label}"] = sup_orig - sup_proj
         ok = ok and sup_proj <= sup_orig + 1e-12
-        if (
-            positivity_report(op).verdict == "positive"
-            and positivity_report(proj_op).verdict == "positive"
-        ):
-            upper_orig = norm_upper_kernel(op).value
-            upper_proj = norm_upper_kernel(proj_op).value
-            details[f"mass_{label}"] = upper_proj - upper_orig
-            ok = ok and upper_proj <= upper_orig * (1.0 + 1e-6)
-            if label == "heat":
-                phi0 = abs(eval_symbol(phi, np.zeros(ctx.cfg.n)))
-                ok = ok and abs(upper_orig - phi0) <= 1e-6 and abs(upper_proj - phi0) <= 1e-6
-                details["heat_mass_vs_phi0"] = max(abs(upper_orig - phi0), abs(upper_proj - phi0))
+        # one kernel per operator serves both its positivity verdict and its mass
+        K = kernel(op)
+        if _kernel_positivity(K).verdict != "positive":
+            continue
+        K_proj = kernel(proj_op)
+        if _kernel_positivity(K_proj).verdict != "positive":
+            continue
+        upper_orig = _kernel_mass(K).value
+        upper_proj = _kernel_mass(K_proj).value
+        details[f"mass_{label}"] = upper_proj - upper_orig
+        ok = ok and upper_proj <= upper_orig * (1.0 + 1e-6)
+        if label == "heat":
+            phi0 = abs(eval_symbol(phi, np.zeros(ctx.cfg.n)))
+            ok = ok and abs(upper_orig - phi0) <= 1e-6 and abs(upper_proj - phi0) <= 1e-6
+            details["heat_mass_vs_phi0"] = max(abs(upper_orig - phi0), abs(upper_proj - phi0))
     return CheckResult("5-contractivity-exact", ok, details)
 
 

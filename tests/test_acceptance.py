@@ -108,3 +108,38 @@ def test_checks_8_and_9_compare_two_independent_computations(monkeypatch):
         monkeypatch.setattr(module, "average_conjugated", interp_only)
     assert verification.check_conjugation_identity(ctx).passed
     assert verification.check_q_vs_p(ctx).details["exact_c4"] <= 1e-12
+
+
+def test_check_5_computes_one_kernel_per_operator(monkeypatch):
+    # each operator's kernel serves its positivity verdict and its mass; the
+    # details are those of the public per-operator calls
+    ctx = verification._Context(VerifyConfig(N=16, L=8.0, smooth_order=64, indicator_order=64))
+    calls = []
+    real_kernel = multiplier.kernel
+
+    def counting_kernel(op):
+        calls.append(op)
+        return real_kernel(op)
+
+    monkeypatch.setattr(verification, "kernel", counting_kernel)
+    result = verification.check_contractivity_exact(ctx)
+    monkeypatch.undo()
+    assert len(calls) == len(set(map(id, calls)))
+    masses = {}
+    for label, phi in ctx.catalog.items():
+        op = multiplier.MultiplierOperator(phi, ctx.grid)
+        proj_op = multiplier.MultiplierOperator(ctx.projection(label), ctx.grid)
+        if (
+            multiplier.positivity_report(op).verdict == "positive"
+            and multiplier.positivity_report(proj_op).verdict == "positive"
+        ):
+            masses[f"mass_{label}"] = (
+                verification.norm_upper_kernel(proj_op).value
+                - verification.norm_upper_kernel(op).value
+            )
+    assert masses and {k: v for k, v in result.details.items() if k.startswith("mass_")} == masses
+    # every original, then the projection of each positive original
+    assert len(calls) == len(ctx.catalog) + sum(
+        multiplier.positivity_report(multiplier.MultiplierOperator(phi, ctx.grid)).verdict == "positive"
+        for phi in ctx.catalog.values()
+    )

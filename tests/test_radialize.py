@@ -300,7 +300,7 @@ def _box_and_gaussian_projections():
     ]
 
 
-def test_sphere_batches_hold_at_most_2_16_points(monkeypatch):
+def test_sphere_batches_hold_at_most_2_14_points(monkeypatch):
     sizes = []
     evaluate = NamedSymbol.evaluate
 
@@ -311,11 +311,37 @@ def test_sphere_batches_hold_at_most_2_16_points(monkeypatch):
     monkeypatch.setattr(NamedSymbol, "evaluate", spy)
     (box, radii2, sq2), (gauss, radii3, sq3) = _box_and_gaussian_projections()
     project(box, radii2, sq2)
-    assert len(sq2.weights) < max(sizes) <= 2**16
+    assert len(sq2.weights) < max(sizes) <= 2**14
     sizes.clear()
     project(gauss, radii3, sq3)
-    # 2^16 nodes per radius at n = 3, order 256: one radius per call, after the origin
-    assert sizes == [1] + [len(sq3.weights)] * (len(radii3) - 1)
+    # 2^16 nodes per radius at n = 3, order 256: four calls per radius, after the origin
+    assert len(sq3.weights) == 4 * 2**14
+    assert sizes == [1] + [2**14] * (4 * (len(radii3) - 1))
+
+
+def test_sphere_means_are_bitwise_those_of_one_call_when_radii_are_chunked(monkeypatch):
+    # at a budget of 37 points every radius is split into chunks of its nodes,
+    # the last a remainder; each mean is still bitwise the one-call mean
+    import radialmult.radialize as radialize
+
+    for n, order in ((2, 64), (3, 8)):
+        sq = sphere_quadrature(n, order)
+        m = len(sq.weights)
+        assert m == 64  # chunks of 37 and 27 nodes
+        radii = default_radii(make_grid(n, 16, 8.0))
+        for name, params in [
+            ("gaussian_aniso", {"A": np.diag([1.0, 4.0, 2.0][:n])}),
+            ("box_indicator", {"a": 1.0}),
+            ("modulation", {"a": (1.0,) + (0.0,) * (n - 1)}),
+            ("bochner_riesz", {"delta": 1.0}),
+        ]:
+            phi = make_named_symbol(name, params, n)
+            monkeypatch.setattr(radialize, "_SPHERE_BATCH_POINTS", 37)
+            chunked = project(phi, radii, sq).values
+            monkeypatch.undo()
+            for k in range(1, len(radii)):
+                one_call = (phi.evaluate(radii[k] * sq.nodes) * sq.weights).sum()
+                assert np.array_equal(chunked[k], one_call), (name, n, radii[k])
 
 
 def test_projection_peak_memory_is_bounded_by_the_batch(traced_peak_mib):
@@ -323,6 +349,14 @@ def test_projection_peak_memory_is_bounded_by_the_batch(traced_peak_mib):
     (box, radii2, sq2), (gauss, radii3, sq3) = _box_and_gaussian_projections()
     assert traced_peak_mib(project, box, radii2, sq2) <= 8
     assert traced_peak_mib(project, gauss, radii3, sq3) <= 10
+
+
+def test_projection_peak_memory_is_bounded_by_the_2_14_point_budget(traced_peak_mib):
+    # 2^16-point batches, with a radius of 2^16 nodes in one call, peaked at
+    # 3.58 MiB for the box and 5.0 MiB for the n = 3 Gaussian
+    (box, radii2, sq2), (gauss, radii3, sq3) = _box_and_gaussian_projections()
+    assert traced_peak_mib(project, box, radii2, sq2) <= 1.5
+    assert traced_peak_mib(project, gauss, radii3, sq3) <= 3
 
 
 def test_non_finite_symbol_values_raise_naming_the_radius():

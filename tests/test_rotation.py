@@ -21,6 +21,7 @@ from radialmult import (
     sphere_quadrature,
 )
 from radialmult.rotation import (
+    _gauss_legendre,
     _permute_lattice,
     _rotation_2d,
     c4_rotations,
@@ -196,7 +197,7 @@ def test_sphere_s2_node_layout():
     # node i*m + j sits at Gauss-Legendre polar node i and uniform azimuth j
     m = 7
     sq = sphere_quadrature(3, m)
-    ct, wt = np.polynomial.legendre.leggauss(m)
+    ct, wt = _gauss_legendre(m)
     st = np.sqrt(1.0 - ct**2)
     phis = 2.0 * np.pi * np.arange(m) / m
     for i in range(m):
@@ -205,6 +206,35 @@ def test_sphere_s2_node_layout():
             assert np.array_equal(sq.nodes[i * m + j], node)
     w = np.array([wt[i] / 2.0 / m for i in range(m) for _ in range(m)])
     assert np.array_equal(sq.weights, w / w.sum())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 256, 2048])
+def test_gauss_legendre_rule(k):
+    x, w = _gauss_legendre(k)
+    assert x.shape == w.shape == (k,)
+    # exact for polynomials of degree < 2k
+    for d in range(min(2 * k, 60)):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(np.sum(w * x**d) - exact) <= 1e-14, d
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x[::-1], -x)
+    assert np.all(w > 0) and np.array_equal(w[::-1], w)
+    assert abs(w.sum() - 2.0) <= 1e-14
+    if k <= 64:
+        ref_x, ref_w = np.polynomial.legendre.leggauss(k)
+        assert np.max(np.abs(x - ref_x)) <= 1e-14
+        assert np.max(np.abs(w - ref_w)) <= 1e-12
+
+
+def test_gauss_legendre_rejects_an_empty_rule():
+    with pytest.raises(ValueError):
+        _gauss_legendre(0)
+
+
+def test_sphere_quadrature_s2_peak_memory(traced_peak_mib):
+    # the parent build's stacked (m, m) coordinates and (m^2, 3) squared norms
+    # peaked at 5.17 MiB at m = 256, against 1.5 MiB of nodes
+    assert traced_peak_mib(sphere_quadrature, 3, 256) <= 3.5
 
 
 def test_sphere_s0():
@@ -240,6 +270,15 @@ def test_lattice_group_is_the_rotation_group_of_the_lattice(n, size):
         assert _key(A.inverse()) in keys
         for B in group:
             assert _key(Rotation(n, A.M @ B.M)) in keys
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_group_is_built_once_per_dimension(n):
+    group = lattice_group(n)
+    assert isinstance(group, tuple) and lattice_group(np.int64(n)) is group
+    for R in group:
+        with pytest.raises(ValueError):
+            R.M[0, 0] = 2.0  # shared by every caller, so read-only
 
 
 def test_c4_group():

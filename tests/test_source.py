@@ -141,6 +141,23 @@ def test_sphere_means_reduce_with_no_blas_product():
     assert not calls + matmuls, calls + matmuls
 
 
+def test_no_module_calls_numpy_polynomial_or_an_eigensolver():
+    # the n = 3 Gauss-Legendre rules take O(k^2) Newton steps; leggauss's O(k^3)
+    # eigensolve took most of an n = 3 demo at k = 4096
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and "polynomial" in (node.module or ""):
+                found.append(f"{path.name}:{node.lineno} from {node.module} import")
+            elif isinstance(node, ast.Attribute):
+                dotted = _dotted(node)
+                if dotted.startswith(("np.polynomial", "numpy.polynomial")) or (
+                    dotted.startswith(("np.linalg.eig", "numpy.linalg.eig"))
+                ):
+                    found.append(f"{path.name}:{node.lineno} {dotted}")
+    assert SOURCES and not found, found
+
+
 def test_the_dimension_rule_is_written_once():
     # every layer calls the grid's `_check_dimension` instead of its own copy
     count = sum(path.read_text().count("dimension must be 1, 2 or 3") for path in SOURCES)
