@@ -99,7 +99,7 @@ def _sphere_points(radii: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """
     buf = np.empty((nodes.shape[1], len(radii), len(nodes)))
     np.multiply(radii[:, None], nodes.T[:, None, :], out=buf)
-    return np.moveaxis(buf, 0, -1)
+    return buf.transpose(1, 2, 0)
 
 
 def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.ndarray:
@@ -114,16 +114,18 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     points are made inside it, on the coordinate-major layout of
     `_sphere_points`, so they are freed before the next call's are built.
     Each chunk is weighted straight into its radii's rows of one
-    preallocated buffer, its real and imaginary parts each scaled as a
-    strided real view: the products are those of a real multiply, with
-    no repeated-weights array, where a complex multiply by zero-imaginary
-    weights would also add signed zeros.  A row is then reduced whole by
-    numpy's pairwise sum, which calls no BLAS: its
-    order is fixed by the row length alone, so a radius's mean depends
-    neither on how many radii share the batch, nor on how its nodes are
-    chunked, nor on the BLAS thread count.
+    preallocated buffer by scaling its float view with the chunk's
+    weights, each repeated for the real and the imaginary part, which
+    numpy runs with SIMD; a complex multiply by zero-imaginary weights
+    would be slower and could flip signed zeros.  The repeated weights
+    are one chunk long, so a radius split into chunks holds no full-row
+    copy of them.  A row is then reduced whole by numpy's pairwise sum,
+    which calls no BLAS: its order is fixed by the row length alone, so
+    a radius's mean depends neither on how many radii share the batch,
+    nor on how its nodes are chunked, nor on the BLAS thread count.
     A symbol that is not finite at some point of a sphere raises
-    `ArithmeticError` naming the radius, so no mean is NaN or infinite.
+    `ArithmeticError` naming the first such radius, once every sphere is
+    evaluated, so no mean is NaN or infinite.
     A lattice sample is not evaluable at points, so it raises `ValueError`.
     """
     if phi.n != sq.n:
@@ -140,27 +142,33 @@ def _sphere_means(phi: Symbol, radii: np.ndarray, sq: SphereQuadrature) -> np.nd
     step = max(1, _SPHERE_BATCH_POINTS // m)  # whole radii per batch
     chunk = min(m, _SPHERE_BATCH_POINTS)  # nodes per call
     weighted = np.empty((min(step, len(positive)), m), dtype=complex)
+    # the current chunk's weights, each once per real and once per imaginary
+    # part of the float view; batches of whole radii fill it once
+    pair_weights, filled = np.empty(2 * chunk), None
+    largest = np.zeros(len(positive))  # per radius, the largest |phi| sampled
     for start in range(0, len(positive), step):
         batch = positive[start:start + step]
-        rows = weighted[:len(batch)]
-        largest = np.zeros(len(batch))
+        rows, row_largest = weighted[:len(batch)], largest[start:start + step]
         for c0 in range(0, m, chunk):
             c1 = min(c0 + chunk, m)
             vals = phi.evaluate(_sphere_points(radii[batch], sq.nodes[c0:c1]))  # (K, c)
             # NaN where a row has one, and np.maximum keeps it
-            np.maximum(largest, np.max(np.abs(vals), axis=1), out=largest)
-            part, w = rows[:, c0:c1], sq.weights[c0:c1]
-            np.multiply(vals.real, w, out=part.real)
-            np.multiply(vals.imag, w, out=part.imag)
-        nonfinite = ~np.isfinite(largest)
-        if nonfinite.any():
-            r = float(radii[batch][nonfinite][0])
-            raise ArithmeticError(f"symbol is not finite on the sphere of radius {r}")
+            np.maximum(row_largest, np.max(np.abs(vals), axis=1), out=row_largest)
+            w = pair_weights[:2 * (c1 - c0)]
+            if filled != c0:
+                w[0::2] = w[1::2] = sq.weights[c0:c1]
+                filled = c0
+            # both views are contiguous: a batch of several radii is one chunk
+            np.multiply(vals.view(float), w, out=rows[:, c0:c1].view(float))
         means[batch] = rows.sum(axis=1)
-        # convex-average bound, the mechanism behind contractivity at p = 2;
-        # the slack is relative above 1 because a pairwise sum rounds relatively
-        if np.any(np.abs(means[batch]) > largest + 1e-13 * np.maximum(1.0, largest)):
-            raise ArithmeticError("sphere mean exceeds the largest sampled value")
+    nonfinite = ~np.isfinite(largest)
+    if nonfinite.any():
+        r = float(radii[positive][nonfinite][0])
+        raise ArithmeticError(f"symbol is not finite on the sphere of radius {r}")
+    # convex-average bound, the mechanism behind contractivity at p = 2;
+    # the slack is relative above 1 because a pairwise sum rounds relatively
+    if np.any(np.abs(means[positive]) > largest + 1e-13 * np.maximum(1.0, largest)):
+        raise ArithmeticError("sphere mean exceeds the largest sampled value")
     return means
 
 
