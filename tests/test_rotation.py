@@ -232,8 +232,8 @@ def test_gauss_legendre_rejects_an_empty_rule():
 
 
 def test_sphere_quadrature_s2_peak_memory(traced_peak_mib):
-    # the parent build's stacked (m, m) coordinates and (m^2, 3) squared norms
-    # peaked at 5.17 MiB at m = 256, against 1.5 MiB of nodes
+    # stacking (m, m) coordinate arrays and norming through an (m^2, 3) squared
+    # temporary peaked at 5.17 MiB at m = 256, against 1.5 MiB of nodes
     assert traced_peak_mib(sphere_quadrature, 3, 256) <= 3.5
 
 
