@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import FrequencyGrid, GridFunction, _multiply, lp_norm
-from .multiplier import MultiplierOperator, kernel, positivity_report
+from .multiplier import MultiplierOperator, _kernel_positivity, kernel
 from .symbols import Symbol
 
 __all__ = [
@@ -133,9 +133,13 @@ def norm_lower_power(
     One step: y = A x with ||x||_p = 1; gradient direction s = |y|^(p-1)
     phase(y); pull back z = A* s (conjugate symbol, volume weights
     cancel on the uniform grid); next iterate x = |z|^(p'-1) phase(z)
-    renormalized.  The estimate ||y||_p is nondecreasing; a trial stops
-    at relative gain below POWER_RELATIVE_GAIN.  Best value over random
-    restarts is returned, deterministic for a fixed seed.
+    renormalized.  The estimate ||y||_p is nondecreasing.  A step has one
+    stopping point, after the next iterate is formed and its norm taken:
+    a trial stops there when its relative gain is at most
+    POWER_RELATIVE_GAIN (a zero image always stops) or when its next
+    iterate is zero (underflow), so its step count is the length of its
+    history.  Best value over random restarts is returned, deterministic
+    for a fixed seed.
 
     The restarts run together: their start vectors are drawn trial by
     trial, stacked on a leading axis and transformed in one FFT pair per
@@ -146,11 +150,10 @@ def norm_lower_power(
     an ulp, enough to move a stopping step).
 
     A step holds few stack-sized arrays: each of x, y, s and z is
-    released once the next is formed, and where every magnitude is
-    normal `_phase` scales y into s and z into the next x in place.  One
-    8-trial run on a 64^2 grid peaks at 2.1 MiB traced once numpy's FFT
-    cache is warm (4.1 MiB with a new array per phase and every stack
-    kept through the step).
+    released once the next is formed, the spent magnitudes are raised to
+    their power in place, and where every magnitude is normal `_phase`
+    scales y into s and z into the next x in place.  One 8-trial run on
+    a 64^2 grid peaks at 2.1 MiB traced once numpy's FFT cache is warm.
     """
     if not (1.0 < p < float("inf")):
         raise ValueError("power iteration needs p strictly between 1 and inf; "
@@ -175,20 +178,9 @@ def norm_lower_power(
     histories: list[list] = [[] for _ in range(trials)]
     steps = [iters] * trials
     est_prev = np.zeros(trials)
-
-    def retire(stop: np.ndarray, step: int, *stacks: np.ndarray) -> list[np.ndarray]:
-        """Record `step` for the stopping rows and drop them from every stack."""
-        nonlocal rows
-        for t in rows[stop]:
-            steps[t] = step
-        rows = rows[~stop]
-        return [a[~stop] for a in stacks] if stop.any() else list(stacks)
+    nx = _row_norms(np.abs(x), p, vol)
 
     for step in range(1, iters + 1):
-        nx = _row_norms(np.abs(x), p, vol)
-        x, nx = retire(nx == 0.0, step, x, nx)
-        if not len(rows):
-            break
         x *= (1.0 / nx).reshape(per_trial)  # bitwise x / nx, see _phase
         y = _multiply(sym, x, stack=1)
         del x  # the iterate is spent; the next one is z's phase
@@ -196,29 +188,32 @@ def norm_lower_power(
         est = _row_norms(mags, p, vol)
         for t, e in zip(rows, est):
             histories[t].append(e)
-        y, mags, est = retire(est == 0.0, step, y, mags, est)
-        if not len(rows):
-            break
         s = _phase(y, mags)  # y's buffer where every |y| is normal
-        s *= mags ** (p - 1.0)
+        mags **= p - 1.0
+        s *= mags
         del y, mags
         z = _multiply(sym_conj, s, stack=1)
         del s
         zmags = np.abs(z)
         x = _phase(z, zmags)  # z's buffer where every |z| is normal
-        x *= zmags ** (q - 1.0)
+        zmags **= q - 1.0
+        x *= zmags
         del z, zmags
-        stalled = est - est_prev[rows] <= POWER_RELATIVE_GAIN * est
+        nx = _row_norms(np.abs(x), p, vol)
+        stop = (est - est_prev[rows] <= POWER_RELATIVE_GAIN * est) | (nx == 0.0)
         est_prev[rows] = est
-        (x,) = retire(stalled, step, x)
-        if not len(rows):
-            break
+        if stop.any():
+            for t in rows[stop]:
+                steps[t] = step
+            rows, x, nx = rows[~stop], x[~stop], nx[~stop]
+            if not len(rows):
+                break
 
     best = 0.0
     best_iters = 0
     best_history: tuple = ()
     for history, trial_steps in zip(histories, steps):
-        est = history[-1] if history else 0.0
+        est = history[-1]  # every trial takes its first step
         if est > best:
             best = est
             best_iters = trial_steps
@@ -260,7 +255,11 @@ def contraction_report(
     ops = {"original": MultiplierOperator(phi, grid), "radialized": MultiplierOperator(pphi, grid)}
     rows = []
     for target, op in ops.items():
-        mass = norm_upper_kernel(op)
+        K = kernel(op)  # one kernel per operator serves its mass and positivity
+        if target == "original":
+            positive = _kernel_positivity(K).verdict == "positive"
+        mass = _kernel_mass(K)
+        del K
         rows.append((target, mass))
         for p in p_list:
             if p in (1.0, float("inf")):
@@ -281,7 +280,7 @@ def contraction_report(
     }
     soft = {f"lower_radialized_le_lower_original_p{p}":
             lower["radialized", p] <= lower["original", p] + 1e-9 for p in powers}
-    if positivity_report(ops["original"]).verdict == "positive":
+    if positive:
         phi0 = abs(ops["original"].sampled.flat[0])  # storage index 0 holds xi = 0
         flags["positive_norm_equality"] = all(abs(upper[t] - phi0) <= 1e-6 for t in ops)
 

@@ -78,7 +78,7 @@ def default_radii(grid: FrequencyGrid) -> np.ndarray:
     r2 = np.zeros((1,), dtype=np.int64)
     for _ in range(grid.n):
         r2 = np.unique(r2[:, None] + (j**2)[None, :]).ravel()
-    return grid.dxi * np.sqrt(np.unique(r2).astype(float))
+    return grid.dxi * np.sqrt(r2.astype(float))
 
 
 def default_order(

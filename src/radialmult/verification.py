@@ -225,8 +225,8 @@ def check_positivity_preservation(ctx: _Context) -> CheckResult:
     for label, phi, proj in cases:
         op = MultiplierOperator(phi, ctx.grid)
         proj_op = MultiplierOperator(proj, ctx.grid)
-        rep_orig = positivity_report(op, tol=1e-10)
-        rep_proj = positivity_report(proj_op, tol=1e-10)
+        rep_orig = positivity_report(op)
+        rep_proj = positivity_report(proj_op)
         details[f"{label}_min_kernel"] = min(rep_orig.min_kernel, rep_proj.min_kernel)
         ok = ok and rep_orig.verdict == "positive" and rep_proj.verdict == "positive"
         worst = 0.0

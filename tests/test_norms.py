@@ -193,8 +193,8 @@ def test_contraction_report_computes_one_kernel_per_operator(monkeypatch):
     monkeypatch.setattr(norms, "kernel", counting_kernel)
     g = make_grid(2, 8, 4.0)
     rep = _report("heat", {"t": 1.0}, g, (1.0, 1.5, 2.0, 4.0, np.inf), 64)
-    # the mass row of each target, then positivity_report on the original
-    assert len(calls) == 3
+    # one kernel per target serves its mass rows and the original's positivity
+    assert len(calls) == 2
     ops = {"original": calls[0], "radialized": calls[1]}
     for target, est in rep.rows:
         if est.p in (1.0, np.inf):
@@ -279,10 +279,8 @@ def _power_one_trial_at_a_time(op, p, trials, iters, seed):
         x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         est_prev = 0.0
         history = []
+        nx = norm_p(x)
         for steps in range(1, iters + 1):
-            nx = norm_p(x)
-            if nx == 0.0:
-                break
             x = x / nx
             y = _multiply(sym, x)
             est = norm_p(y)
@@ -292,7 +290,8 @@ def _power_one_trial_at_a_time(op, p, trials, iters, seed):
             s = np.abs(y) ** (p - 1.0) * phase(y)
             z = _multiply(np.conj(sym), s)
             x = np.abs(z) ** (q - 1.0) * phase(z)
-            if est - est_prev <= POWER_RELATIVE_GAIN * est:
+            nx = norm_p(x)
+            if nx == 0.0 or est - est_prev <= POWER_RELATIVE_GAIN * est:
                 break
             est_prev = est
         all_steps.append(steps)
@@ -339,6 +338,28 @@ def test_stacked_power_iteration_zero_operator():
     _assert_matches_one_trial_at_a_time(op, 3.0, 3, 10, 0)
     est = norm_lower_power(op, 3.0, trials=3, iters=10, seed=0)
     assert est.value == 0.0 and est.iterations == 0 and est.history == ()
+
+
+_ANISO = ("gaussian_aniso", {"A": np.diag([1.0, 4.0])})
+
+
+@pytest.mark.parametrize("symbol, p, iters, stop", [
+    (_ANISO, 3.0, 500, "stall"),
+    (_ANISO, 3.0, 3, "cap"),
+    (("constant", {"c": 0.0}), 3.0, 10, "zero image"),
+    # |z| is near 1e-33 and q = 11, so |z|^(q-1) falls below every subnormal: x = 0
+    (("constant", {"c": 1e-30}), 1.1, 10, "underflow"),
+])
+def test_power_iteration_counts_the_steps_it_takes(symbol, p, iters, stop):
+    g = make_grid(2, 8, 4.0)
+    op = MultiplierOperator(make_named_symbol(*symbol, 2), g)
+    _assert_matches_one_trial_at_a_time(op, p, 3, iters, 0)
+    est = norm_lower_power(op, p, trials=3, iters=iters, seed=0)
+    assert est.iterations == len(est.history)
+    assert (est.iterations == iters) == (stop == "cap")
+    assert (est.value == 0.0) == (stop == "zero image")
+    if stop == "underflow":
+        assert est.iterations == 1 and est.value == pytest.approx(1e-30, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
