@@ -241,5 +241,17 @@ def lp_norm(f: GridFunction, p: float) -> float:
     mags = f.magnitude()
     if np.isinf(p):
         return float(np.max(mags))
-    vol = f.grid.dx**f.grid.n
-    return float((np.sum(mags**p) * vol) ** (1.0 / p))
+    return float(_lp_norms(mags[None], p, f.grid.dx**f.grid.n)[0])
+
+
+def _lp_norms(mags: np.ndarray, p: float, vol: float) -> np.ndarray:
+    """The one discrete L^p norm (finite p) of each field stacked on the leading axis of `mags`.
+
+    `mags` holds pointwise magnitudes and `vol` the weight dx^n.  Each
+    field's |x|^p is summed as one contiguous row, in the order a flat
+    sum of that field alone takes, and rooted as a numpy scalar (numpy's
+    array pow may round differently), so a field's norm does not depend
+    on what is stacked with it: the power iteration relies on that.
+    """
+    sums = (mags**p).reshape(len(mags), -1).sum(axis=1)
+    return np.array([(s * vol) ** (1.0 / p) for s in sums])

@@ -213,8 +213,11 @@ class PositivityReport:
     min_kernel: float
     max_imag: float
     tol: float
-    verdict: str  # positive | not-positive
     reason: str  # ok | non-finite-kernel | negative-kernel | complex-kernel
+
+    @property
+    def verdict(self) -> str:  # positive exactly when the reason is ok
+        return "positive" if self.reason == "ok" else "not-positive"
 
 
 def positivity_report(op: MultiplierOperator, tol: float = POSITIVITY_TOL) -> PositivityReport:
@@ -237,9 +240,9 @@ def _kernel_positivity(kernel_fn: GridFunction, tol: float = POSITIVITY_TOL) -> 
     min_kernel = float(np.min(K.real))
     max_imag = float(np.max(np.abs(K.imag)))
     if not np.all(np.isfinite(K)):
-        return PositivityReport(min_kernel, max_imag, tol, "not-positive", "non-finite-kernel")
+        return PositivityReport(min_kernel, max_imag, tol, "non-finite-kernel")
     if max_imag > tol:
-        return PositivityReport(min_kernel, max_imag, tol, "not-positive", "complex-kernel")
+        return PositivityReport(min_kernel, max_imag, tol, "complex-kernel")
     if min_kernel < -tol:
-        return PositivityReport(min_kernel, max_imag, tol, "not-positive", "negative-kernel")
-    return PositivityReport(min_kernel, max_imag, tol, "positive", "ok")
+        return PositivityReport(min_kernel, max_imag, tol, "negative-kernel")
+    return PositivityReport(min_kernel, max_imag, tol, "ok")

@@ -7,11 +7,13 @@ kernel's weighted l^1 mass).  In between, a nonlinear power iteration
 supplies lower bounds and the kernel mass is an upper bound for all p
 at once (Young's inequality).  Its random restarts run as one stack,
 each step transforming every live trial in one FFT pair; per-trial
-norms are rooted on numpy scalars so that every trial reproduces, bit
-for bit, the run it would make alone.  A step divides only to form
-reciprocals: it normalizes and takes phases by multiplying with 1/c,
-which is the arithmetic numpy's division of a complex by a real c does
-(see `_phase`), so the cheaper step has the quotient form's bits.
+norms come from `grid._lp_norms`, the one discrete L^p routine, so
+every trial reproduces, bit for bit, the run it would make alone.  A
+step divides only to form reciprocals: it normalizes and takes phases
+by multiplying with 1/c, which is the arithmetic numpy's division of a
+complex by a real c does (see `_phase`), so the cheaper step has the
+quotient form's bits.  The kernel step `_kernel_bounds` reads one
+kernel's positivity verdict, then its mass, for every caller of either.
 
 `contraction_report` tabulates them for a symbol and its rotation
 average, which the caller computes: this layer only computes norms.
@@ -23,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import FrequencyGrid, GridFunction, _multiply, lp_norm
-from .multiplier import MultiplierOperator, _kernel_positivity, kernel
+from .grid import FrequencyGrid, _lp_norms, _multiply, lp_norm
+from .multiplier import MultiplierOperator, PositivityReport, _kernel_positivity, kernel
 from .symbols import Symbol
 
 __all__ = [
@@ -72,13 +74,15 @@ def norm_upper_kernel(op: MultiplierOperator) -> NormEstimate:
     For a nonnegative kernel the mass equals phi(0), which is the exact
     norm for all p.
     """
-    return _kernel_mass(kernel(op))
+    return _kernel_bounds(op)[1]
 
 
-def _kernel_mass(kernel_fn: GridFunction) -> NormEstimate:
-    """`norm_upper_kernel` of the operator whose convolution kernel is `kernel_fn`."""
-    value = lp_norm(kernel_fn, 1.0)
-    return NormEstimate(value=value, kind="upper-bound", p=None, method="kernel-l1")
+def _kernel_bounds(op: MultiplierOperator) -> tuple[PositivityReport, NormEstimate]:
+    """`positivity_report(op)`, then `norm_upper_kernel(op)`, both read from one kernel."""
+    K = kernel(op)
+    report = _kernel_positivity(K)
+    mass = NormEstimate(value=lp_norm(K, 1.0), kind="upper-bound", p=None, method="kernel-l1")
+    return report, mass
 
 
 def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -108,19 +112,6 @@ def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_norms(mags: np.ndarray, p: float, vol: float) -> np.ndarray:
-    """Discrete L^p norm of each stacked trial, given its pointwise magnitudes.
-
-    Each trial's |x|^p is summed as one contiguous row, in the order a
-    flat sum of that trial alone would take.  The root is taken on numpy
-    scalars, one trial at a time: numpy's array pow loop can round
-    differently from scalar pow, and a one-ulp shift may move a stopping
-    step.
-    """
-    sums = (mags**p).reshape(len(mags), -1).sum(axis=1)
-    return np.array([(s * vol) ** (1.0 / p) for s in sums])
-
-
 def norm_lower_power(
     op: MultiplierOperator,
     p: float,
@@ -145,9 +136,7 @@ def norm_lower_power(
     trial, stacked on a leading axis and transformed in one FFT pair per
     operator application; a trial leaves the stack when it stops.  Each
     trial's values, history and step count equal those of running it
-    alone, because its norm is summed as one contiguous row and rooted
-    as a numpy scalar (numpy's array pow can differ from scalar pow by
-    an ulp, enough to move a stopping step).
+    alone, because `_lp_norms` gives each row the norm it has alone.
 
     A step holds few stack-sized arrays: each of x, y, s and z is
     released once the next is formed, the spent magnitudes are raised to
@@ -178,14 +167,14 @@ def norm_lower_power(
     histories: list[list] = [[] for _ in range(trials)]
     steps = [iters] * trials
     est_prev = np.zeros(trials)
-    nx = _row_norms(np.abs(x), p, vol)
+    nx = _lp_norms(np.abs(x), p, vol)
 
     for step in range(1, iters + 1):
         x *= (1.0 / nx).reshape(per_trial)  # bitwise x / nx, see _phase
         y = _multiply(sym, x, stack=1)
         del x  # the iterate is spent; the next one is z's phase
         mags = np.abs(y)
-        est = _row_norms(mags, p, vol)
+        est = _lp_norms(mags, p, vol)
         for t, e in zip(rows, est):
             histories[t].append(e)
         s = _phase(y, mags)  # y's buffer where every |y| is normal
@@ -199,7 +188,7 @@ def norm_lower_power(
         zmags **= q - 1.0
         x *= zmags
         del z, zmags
-        nx = _row_norms(np.abs(x), p, vol)
+        nx = _lp_norms(np.abs(x), p, vol)
         stop = (est - est_prev[rows] <= POWER_RELATIVE_GAIN * est) | (nx == 0.0)
         est_prev[rows] = est
         if stop.any():
@@ -255,11 +244,9 @@ def contraction_report(
     ops = {"original": MultiplierOperator(phi, grid), "radialized": MultiplierOperator(pphi, grid)}
     rows = []
     for target, op in ops.items():
-        K = kernel(op)  # one kernel per operator serves its mass and positivity
+        report, mass = _kernel_bounds(op)
         if target == "original":
-            positive = _kernel_positivity(K).verdict == "positive"
-        mass = _kernel_mass(K)
-        del K
+            positive = report.verdict == "positive"
         rows.append((target, mass))
         for p in p_list:
             if p in (1.0, float("inf")):

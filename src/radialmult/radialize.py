@@ -57,10 +57,9 @@ CONVERGENCE_ORDERS = (8, 16, 32, 64)
 #: Largest number of points phi is evaluated at in one `evaluate` call of
 #: the sphere means.  It bounds a projection's traced peak memory: 1.2 MiB
 #: for the box indicator at n = 2, order 4096, and 2.3 MiB for an n = 3
-#: Gaussian at order 256 (3.6 and 5.0 MiB with 2^16-point batches of whole
-#: radii, 47.3 and 65.0 MiB at 2^20).  Batches hold whole radii; a radius
-#: with more nodes, such as the 65,536 of n = 3, order 256, is evaluated in
-#: chunks of its nodes.
+#: Gaussian at order 256.  Batches hold whole radii; a radius with more
+#: nodes, such as the 65,536 of n = 3, order 256, is evaluated in chunks of
+#: its nodes.
 _SPHERE_BATCH_POINTS = 2**14
 
 

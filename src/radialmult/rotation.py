@@ -69,6 +69,16 @@ class Rotation:
         return Rotation(self.n, self.M.T)
 
 
+def _check_weights(weights, count: int) -> np.ndarray:
+    """`weights` as floats, after the one weight rule of a quadrature with `count` nodes."""
+    weights = np.asarray(weights, dtype=float)
+    valid = count >= 1 and weights.shape == (count,) and np.all(weights > 0)  # NaN fails too
+    if not (valid and abs(weights.sum() - 1.0) <= 1e-14):
+        raise ValueError("a quadrature needs at least one node and one positive weight per node, "
+                         f"summing to 1; got weights of shape {weights.shape} for {count} nodes")
+    return weights
+
+
 @dataclass(frozen=True)
 class RotationQuadrature:
     """Weighted rotation nodes approximating normalized Haar measure on SO(n) (O(1) at n = 1)."""
@@ -77,14 +87,7 @@ class RotationQuadrature:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (len(self.rotations),):
-            raise ValueError("weights must match rotation count")
-        if not np.all(weights > 0):  # NaN fails too
-            raise ValueError("weights must be positive")
-        if not abs(weights.sum() - 1.0) <= 1e-14:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _check_weights(self.weights, len(self.rotations)))
         object.__setattr__(self, "rotations", tuple(self.rotations))
 
 
@@ -99,9 +102,9 @@ class SphereQuadrature:
     def __post_init__(self):
         _check_dimension(self.n)
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != self.n:
             raise ValueError(f"nodes must have shape (m, {self.n})")
+        weights = _check_weights(self.weights, len(nodes))
         # ||nu| - 1| in one buffer, |nu|^2 summed a coordinate at a time: no
         # (m, n) squared temporary
         error = np.zeros(len(nodes))
@@ -111,8 +114,6 @@ class SphereQuadrature:
         error -= 1.0
         if not np.max(np.abs(error, out=error)) <= 1e-12:  # NaN fails too
             raise ValueError("nodes must be unit vectors")
-        if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-14):
-            raise ValueError("weights must be positive and sum to 1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -266,7 +267,7 @@ def sphere_quadrature(n: int, m: int) -> SphereQuadrature:
 def subgroup_quadrature(rotations: list[Rotation]) -> RotationQuadrature:
     """Uniform weights over a finite set of rotations (exact for subgroup averages)."""
     k = len(rotations)
-    return RotationQuadrature(tuple(rotations), np.full(k, 1.0 / k))
+    return RotationQuadrature(tuple(rotations), np.ones(k) / k)
 
 
 def lattice_group(n: int) -> tuple[Rotation, ...]:

@@ -17,16 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, lp_norm, make_grid, transform
-from .multiplier import (
-    MultiplierOperator,
-    _kernel_positivity,
-    apply,
-    average_conjugated,
-    kernel,
-    positivity_report,
-    rotate_function,
-)
-from .norms import _kernel_mass, norm_lower_power, norm_p2_exact, norm_upper_kernel
+from .multiplier import MultiplierOperator, apply, average_conjugated, positivity_report, rotate_function
+from .norms import _kernel_bounds, norm_lower_power, norm_p2_exact, norm_upper_kernel
 from .radialize import CONVERGENCE_ORDERS, INDICATOR_ORDER, SMOOTH_ORDER, convergence_errors
 from .radialize import default_order, default_radii, project, radiality
 from .rotation import (
@@ -179,15 +171,13 @@ def check_contractivity_exact(ctx: _Context) -> CheckResult:
         sup_orig, sup_proj = norm_p2_exact(op).value, norm_p2_exact(proj_op).value
         details[f"sup_margin_{label}"] = sup_orig - sup_proj
         ok = ok and sup_proj <= sup_orig + 1e-12
-        # one kernel per operator serves both its positivity verdict and its mass
-        K = kernel(op)
-        if _kernel_positivity(K).verdict != "positive":
+        report, mass = _kernel_bounds(op)
+        if report.verdict != "positive":
             continue
-        K_proj = kernel(proj_op)
-        if _kernel_positivity(K_proj).verdict != "positive":
+        report_proj, mass_proj = _kernel_bounds(proj_op)
+        if report_proj.verdict != "positive":
             continue
-        upper_orig = _kernel_mass(K).value
-        upper_proj = _kernel_mass(K_proj).value
+        upper_orig, upper_proj = mass.value, mass_proj.value
         details[f"mass_{label}"] = upper_proj - upper_orig
         ok = ok and upper_proj <= upper_orig * (1.0 + 1e-6)
         if label == "heat":

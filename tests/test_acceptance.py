@@ -19,6 +19,7 @@ import time
 import pytest
 
 import radialmult.multiplier as multiplier
+import radialmult.norms as norms
 import radialmult.verification as verification
 from radialmult.verification import VerifyConfig, run_all
 
@@ -121,7 +122,7 @@ def test_check_5_computes_one_kernel_per_operator(monkeypatch):
         calls.append(op)
         return real_kernel(op)
 
-    monkeypatch.setattr(verification, "kernel", counting_kernel)
+    monkeypatch.setattr(norms, "kernel", counting_kernel)
     result = verification.check_contractivity_exact(ctx)
     monkeypatch.undo()
     assert len(calls) == len(set(map(id, calls)))

@@ -16,6 +16,7 @@ from radialmult import (
     norm_upper_kernel,
     rotate_function,
 )
+from radialmult.grid import _lp_norms
 from radialmult.rotation import subgroup_quadrature
 
 EXPONENTS = [1.0, 1.5, 2.0, np.inf]
@@ -66,3 +67,27 @@ def test_group_average_of_heat_contracts(spec, p):
     QF = average_conjugated(op, subgroup_quadrature(lattice_group(n)), F)
     assert QF.q == F.q
     assert lp_norm(QF, p) <= norm_upper_kernel(op).value * lp_norm(F, p) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=fields,
+    q=st.sampled_from([None, 1.0, 2.0, 3.0, np.inf]),
+    p=st.floats(1.0, 6.0),
+    others=st.integers(1, 4),
+    data=st.data(),
+)
+def test_lp_norm_is_its_row_of_a_stacked_norm(spec, q, p, others, data):
+    # the power iteration roots stacked trials through `_lp_norms`; a field's
+    # norm must not depend on the fields stacked with it
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=others + 1, max_size=others + 1))
+    scales = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=others + 1, max_size=others + 1))
+    fs = []
+    for seed, scale in zip(seeds, scales):
+        F = _field(**{**spec, "d": 3, "q": q or 1.0, "seed": seed})
+        values = scale * (F.values[..., 0] if q is None else F.values)
+        fs.append(GridFunction(F.grid, values, q=q))
+    g = fs[0].grid
+    stacked = _lp_norms(np.stack([f.magnitude() for f in fs]), p, g.dx**g.n)
+    for f, row in zip(fs, stacked):
+        assert lp_norm(f, p) == row  # bit for bit

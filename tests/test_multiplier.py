@@ -1,5 +1,7 @@
 """Multiplier operators, rotation conjugation, kernels, positivity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from radialmult import (
     GridFunction,
     MultiplierOperator,
+    PositivityReport,
     Rotation,
     SampledSymbol,
     apply,
@@ -569,6 +572,14 @@ def test_positivity_non_finite_kernel_reason():
     values[3, 5] = np.nan
     rep = positivity_report(MultiplierOperator(SampledSymbol(g, values), g))
     assert rep.verdict == "not-positive" and rep.reason == "non-finite-kernel"
+
+
+def test_positivity_verdict_is_read_from_the_reason():
+    # no report can pair a positive verdict with a reason that denies it
+    assert "verdict" not in {f.name for f in dataclasses.fields(PositivityReport)}
+    for reason in ("ok", "non-finite-kernel", "complex-kernel", "negative-kernel"):
+        rep = PositivityReport(min_kernel=-1.0, max_imag=0.0, tol=1e-10, reason=reason)
+        assert rep.verdict == ("positive" if reason == "ok" else "not-positive")
 
 
 def test_positivity_rejects_nan_tolerance():

@@ -21,7 +21,8 @@ from radialmult import multiplier, norms
 from radialmult.grid import _multiply
 from radialmult.norms import POWER_RELATIVE_GAIN
 from radialmult.radialize import default_radii, project
-from radialmult.rotation import sphere_quadrature
+from radialmult.rotation import haar_rotation, sphere_quadrature
+from radialmult.symbols import Symbol
 from radialmult.verification import reference_catalog
 
 
@@ -374,3 +375,53 @@ def test_stacked_power_iteration_property(seed, p, trials, label, n):
     g = make_grid(n, 8 if n == 2 else 16, 4.0)
     op = MultiplierOperator(reference_catalog(n)[label], g)
     _assert_matches_one_trial_at_a_time(op, p, trials, 30, seed)
+
+
+class _GaussianMixture(Symbol):
+    """sum_k c_k exp(i a_k . xi - xi^T A_k xi / 2) with c_k >= 0: Bochner-positive.
+
+    It is the Fourier transform of a nonnegative mixture of shifted
+    Gaussians, so every operator it defines has a nonnegative kernel of
+    mass phi(0) = sum_k c_k.
+    """
+
+    def __init__(self, c, a, A):
+        self.n = a.shape[1]
+        self.c, self.a, self.A = c, a, A
+
+    def evaluate(self, points):
+        x = [points[..., i] for i in range(self.n)]
+        out = np.zeros(points.shape[:-1], dtype=complex)
+        for c, a, A in zip(self.c, self.a, self.A):
+            shift = sum(a[i] * x[i] for i in range(self.n))
+            quad = sum(A[i, j] * x[i] * x[j] for i in range(self.n) for j in range(self.n))
+            out += c * np.exp(1j * shift - quad / 2.0)
+        return out
+
+
+@st.composite
+def _bochner_positive(draw):
+    """A random `_GaussianMixture` with 1 to 3 terms, eigenvalues of each A_k in [0.5, 4]."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    terms = draw(st.integers(1, 3))
+    c = np.array([draw(st.floats(0.1, 2.0))] + [draw(st.floats(0.0, 2.0)) for _ in range(terms - 1)])
+    a = np.array([[draw(st.floats(-2.0, 2.0)) for _ in range(n)] for _ in range(terms)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = []
+    for _ in range(terms):
+        Q = haar_rotation(n, rng).M
+        eigs = [draw(st.floats(0.5, 4.0)) for _ in range(n)]
+        A.append(Q @ np.diag(eigs) @ Q.T)
+    return _GaussianMixture(c, a, np.array(A))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_bochner_positive())
+def test_bochner_positive_symbols_have_positive_kernels_of_mass_phi0(phi):
+    g = make_grid(phi.n, 16, 4.0) if phi.n == 3 else make_grid(phi.n, 32, 8.0)
+    report, mass = norms._kernel_bounds(MultiplierOperator(phi, g))
+    assert report.verdict == "positive", report
+    assert abs(mass.value - phi.c.sum()) <= 1e-12 * phi.c.sum()
+    pphi = project(phi, default_radii(g), sphere_quadrature(g.n, 64))
+    rep = contraction_report(phi, pphi, g, (1.0, np.inf))
+    assert rep.flags["positive_norm_equality"]

@@ -54,6 +54,18 @@ def test_quadratures_reject_nan():
         SphereQuadrature(2, np.array([[1.0, 0.0], [np.nan, 0.0]]), np.array([0.5, 0.5]))
 
 
+def test_quadratures_reject_an_empty_rule_by_the_weight_rule():
+    # an empty rule used to divide by zero, or fail in numpy's empty max, or blame the sum
+    empty = [
+        lambda: subgroup_quadrature([]),
+        lambda: SphereQuadrature(2, np.zeros((0, 2)), np.zeros(0)),
+        lambda: RotationQuadrature((), []),
+    ]
+    for build in empty:
+        with pytest.raises(ValueError, match="at least one node and one positive weight per node"):
+            build()
+
+
 def test_haar_so1_is_trivial():
     R = haar_rotation(1, np.random.default_rng(0))
     assert R.M.shape == (1, 1) and R.M[0, 0] == 1.0

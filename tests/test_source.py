@@ -164,6 +164,30 @@ def test_the_dimension_rule_is_written_once():
     assert count == 1, count
 
 
+def test_the_lp_root_is_taken_only_in_the_grid_module():
+    # `grid._lp_norms` is the one discrete L^p sum and root
+    counts = {path.name: path.read_text().count("** (1.0 / p)") for path in SOURCES}
+    assert counts["grid.py"] >= 1 and sum(counts.values()) == counts["grid.py"], counts
+
+
+def test_only_the_multiplier_and_norms_modules_compute_kernels():
+    # every other layer reads a kernel's verdict and mass through `norms._kernel_bounds`
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in ("multiplier.py", "norms.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "kernel"
+    ]
+    assert SOURCES and not found, found
+
+
+def test_the_quadrature_weight_rule_is_written_once():
+    # both quadrature types call `rotation._check_weights`
+    count = sum(path.read_text().count("one positive weight per node") for path in SOURCES)
+    assert count == 1, count
+
+
 def test_each_symbol_class_defines_evaluate_in_its_own_body():
     # the benchmark tracer wraps `cls.__dict__["evaluate"]` of these three classes
     missing = [
