@@ -6,14 +6,17 @@ endpoints p in {1, inf} (for periodic convolution both norms equal the
 kernel's weighted l^1 mass).  In between, a nonlinear power iteration
 supplies lower bounds and the kernel mass is an upper bound for all p
 at once (Young's inequality).  Its random restarts run as one stack,
-each step transforming every live trial in one FFT pair; per-trial
-norms come from `grid._lp_norms`, the one discrete L^p routine, so
-every trial reproduces, bit for bit, the run it would make alone.  A
-step divides only to form reciprocals: it normalizes and takes phases
-by multiplying with 1/c, which is the arithmetic numpy's division of a
-complex by a real c does (see `_phase`), so the cheaper step has the
-quotient form's bits.  The kernel step `_kernel_bounds` reads one
-kernel's positivity verdict, then its mass, for every caller of either.
+each step transforming every live trial in one FFT pair; at p = 2 the
+step is A*A, diagonal in the Fourier basis, so the stack is transformed
+once and every step multiplies its spectrum by |phi|^2.  Per-trial
+norms come from `grid._lp_norms`, the one discrete L^p routine (at
+p = 2 by Parseval), so every trial reproduces, bit for bit, the run it
+would make alone.  A step divides only to form reciprocals: it
+normalizes and takes phases by multiplying with 1/c, which is the
+arithmetic numpy's division of a complex by a real c does (see
+`_phase`), so the cheaper step has the quotient form's bits.  The
+kernel step `_kernel_bounds` reads one kernel's positivity verdict,
+then its mass, for every caller of either.
 
 `contraction_report` tabulates them for a symbol and its rotation
 average, which the caller computes: this layer only computes norms.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import FrequencyGrid, _lp_norms, _multiply, lp_norm
+from .grid import FrequencyGrid, _dft_sum, _lp_norms, _multiply, lp_norm
 from .multiplier import MultiplierOperator, PositivityReport, _kernel_positivity, kernel
 from .symbols import Symbol
 
@@ -42,6 +45,8 @@ __all__ = [
 POWER_RELATIVE_GAIN = 1e-9
 DEFAULT_TRIALS = 8
 DEFAULT_ITERS = 200
+#: Smallest normal magnitude: `_phase` takes a reciprocal only at or above it.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ def _phase(y: np.ndarray, mags: np.ndarray) -> np.ndarray:
     returned, so the caller must not read y again; the product is the
     same.  Otherwise y is left as it is and a new array is returned.
     """
-    normal = mags >= np.finfo(float).tiny
+    normal = mags >= _TINY
     if normal.all():
         y *= 1.0 / mags
         return y
@@ -142,7 +147,8 @@ def norm_lower_power(
     released once the next is formed, the spent magnitudes are raised to
     their power in place, and where every magnitude is normal `_phase`
     scales y into s and z into the next x in place.  One 8-trial run on
-    a 64^2 grid peaks at 2.1 MiB traced once numpy's FFT cache is warm.
+    a 64^2 grid peaks at 2.1 MiB traced once numpy's FFT cache is warm
+    (1.6 MiB at p = 2, whose step forms no new stack).
     """
     if not (1.0 < p < float("inf")):
         raise ValueError("power iteration needs p strictly between 1 and inf; "
@@ -158,11 +164,15 @@ def norm_lower_power(
     sym_conj = np.conj(sym)
     q = p / (p - 1.0)
     per_trial = (-1,) + (1,) * grid.n  # broadcasts one number per trial over its grid
+    spectral = p == 2.0
 
     x = np.stack([
         rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         for _ in range(trials)
     ])
+    if spectral:
+        x = _dft_sum(x, grid.shape, stack=1)
+        vol /= grid.N**grid.n  # Parseval: sum |x|^2 = N^-n sum |x^|^2
     rows = np.arange(trials)  # trial behind each stack row
     histories: list[list] = [[] for _ in range(trials)]
     steps = [iters] * trials
@@ -171,23 +181,28 @@ def norm_lower_power(
 
     for step in range(1, iters + 1):
         x *= (1.0 / nx).reshape(per_trial)  # bitwise x / nx, see _phase
-        y = _multiply(sym, x, stack=1)
-        del x  # the iterate is spent; the next one is z's phase
-        mags = np.abs(y)
-        est = _lp_norms(mags, p, vol)
+        if spectral:
+            x *= sym  # the image's spectrum y^, in the iterate's buffer
+            est = _lp_norms(np.abs(x), p, vol)
+            x *= sym_conj  # the next iterate's spectrum, conj(phi) y^
+        else:
+            y = _multiply(sym, x, stack=1)
+            del x  # the iterate is spent; the next one is z's phase
+            mags = np.abs(y)
+            est = _lp_norms(mags, p, vol)
+            s = _phase(y, mags)  # y's buffer where every |y| is normal
+            mags **= p - 1.0
+            s *= mags
+            del y, mags
+            z = _multiply(sym_conj, s, stack=1)
+            del s
+            zmags = np.abs(z)
+            x = _phase(z, zmags)  # z's buffer where every |z| is normal
+            zmags **= q - 1.0
+            x *= zmags
+            del z, zmags
         for t, e in zip(rows, est):
             histories[t].append(e)
-        s = _phase(y, mags)  # y's buffer where every |y| is normal
-        mags **= p - 1.0
-        s *= mags
-        del y, mags
-        z = _multiply(sym_conj, s, stack=1)
-        del s
-        zmags = np.abs(z)
-        x = _phase(z, zmags)  # z's buffer where every |z| is normal
-        zmags **= q - 1.0
-        x *= zmags
-        del z, zmags
         nx = _lp_norms(np.abs(x), p, vol)
         stop = (est - est_prev[rows] <= POWER_RELATIVE_GAIN * est) | (nx == 0.0)
         est_prev[rows] = est

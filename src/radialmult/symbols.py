@@ -37,7 +37,8 @@ class Symbol:
     """Base class; subclasses implement vector evaluation at (..., n) points.
 
     `kink` marks a symbol whose jump makes sphere averages converge
-    slowly; only catalog indicators set it.
+    slowly; only the box indicator sets it.  The ball indicator jumps
+    too, but it is radial, so it is constant on every sphere but r = rho.
     """
 
     n: int
@@ -204,7 +205,7 @@ SYMBOL_SPECS: dict[str, SymbolSpec] = {
         lambda x, p: np.exp(-p["t"] * np.linalg.norm(x, axis=-1))),
     "ball_indicator": SymbolSpec(
         ("ballind",), _positive("rho"), _ball_from_cli,
-        lambda x, p: np.linalg.norm(x, axis=-1) <= p["rho"], kink=True),
+        lambda x, p: np.linalg.norm(x, axis=-1) <= p["rho"]),
     "box_indicator": SymbolSpec(
         ("boxind",), _positive("a"), _cli_scalar("a"),
         lambda x, p: np.max(np.abs(x), axis=-1) <= p["a"], kink=True),

@@ -109,7 +109,9 @@ def check_idempotence(ctx: _Context) -> CheckResult:
         ("ballind", 1e-3),
     ]:
         p1 = ctx.projection(label)
-        p2 = project(p1, ctx.radii, ctx.sq_for(label))
+        # a projection is a radial profile: it takes the order the policy gives it
+        p2 = project(p1, ctx.radii, ctx.rules[default_order(p1, ctx.cfg.smooth_order,
+                                                            ctx.cfg.indicator_order)])
         dev = float(np.max(np.abs(p2.values - p1.values)))
         details[label] = dev
         ok = ok and dev <= tol

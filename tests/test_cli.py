@@ -152,7 +152,7 @@ def _spy_sphere_orders(monkeypatch):
 
 
 def test_demo_builds_each_sphere_rule_once(tmp_path, monkeypatch):
-    # ballind and boxind share the indicator order, so they share its rule
+    # boxind alone takes the indicator order and the rest share the smooth rule
     orders = _spy_sphere_orders(monkeypatch)
     assert main(["demo", "--grid", "16", "--extent", "8", "--out", str(tmp_path)]) == 0
     assert sorted(orders) == [SMOOTH_ORDER, INDICATOR_ORDER]

@@ -251,21 +251,25 @@ def test_power_iteration_peak_memory(traced_peak_mib):
     for label in ("const", "heat"):
         op = MultiplierOperator(reference_catalog(2)[label], g)
         norm_lower_power(op, 1.5, iters=1)
-        for p in (1.5, 3.0):
+        for p in (1.5, 2.0, 3.0):
             assert traced_peak_mib(norm_lower_power, op, p) <= 3, (label, p)
 
 
-def _power_one_trial_at_a_time(op, p, trials, iters, seed):
+def _power_one_trial_at_a_time(op, p, trials, iters, seed, spectral=None):
     """The power iteration run trial by trial, as the definition reads.
 
     Returns (value, iterations, history) of the best trial, as
-    norm_lower_power reports them, and every trial's step count.
+    norm_lower_power reports them, and every trial's step count.  At
+    p = 2 the step defaults to the spectral one, x^ <- conj(phi) phi x^
+    with Parseval norms; `spectral=False` runs the physical step there.
     """
     rng = np.random.default_rng(seed)
     grid = op.grid
     vol = grid.dx**grid.n
     sym = op.sampled
     q = p / (p - 1.0)
+    if spectral is None:
+        spectral = p == 2.0
 
     def norm_p(x):
         return (np.sum(np.abs(x) ** p) * vol) ** (1.0 / p)
@@ -274,23 +278,32 @@ def _power_one_trial_at_a_time(op, p, trials, iters, seed):
         mags = np.abs(y)
         return np.where(mags > 0, y / np.where(mags > 0, mags, 1.0), 0.0)
 
+    if spectral:
+        vol = vol / grid.N**grid.n  # sum |x|^2 = N^-n sum |x^|^2 on the unscaled DFT sum
+
     best, best_iters, best_history = 0.0, 0, ()
     all_steps = []
     for _ in range(trials):
         x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        if spectral:
+            x = np.fft.fftn(x)
         est_prev = 0.0
         history = []
         nx = norm_p(x)
         for steps in range(1, iters + 1):
             x = x / nx
-            y = _multiply(sym, x)
+            # iterate times symbol: the operand order of an in-place product
+            y = x * sym if spectral else _multiply(sym, x)
             est = norm_p(y)
             history.append(est)
             if est == 0.0:
                 break
-            s = np.abs(y) ** (p - 1.0) * phase(y)
-            z = _multiply(np.conj(sym), s)
-            x = np.abs(z) ** (q - 1.0) * phase(z)
+            if spectral:
+                x = y * np.conj(sym)
+            else:
+                s = np.abs(y) ** (p - 1.0) * phase(y)
+                z = _multiply(np.conj(sym), s)
+                x = np.abs(z) ** (q - 1.0) * phase(z)
             nx = norm_p(x)
             if nx == 0.0 or est - est_prev <= POWER_RELATIVE_GAIN * est:
                 break
@@ -321,6 +334,42 @@ def test_stacked_power_iteration_is_bitwise_the_trial_loop(p, trials):
             op = MultiplierOperator(symbol, g)
             for seed in (0, 5):
                 _assert_matches_one_trial_at_a_time(op, p, trials, 40, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_p2_step_agrees_with_the_physical_step(n):
+    # the p = 2 step runs on the spectrum; the physical step is its oracle up to
+    # rounding.  Trials that tie at sup |phi| to rounding (the indicators, |phi| = 1
+    # on many lattice points) may swap which one is best, so histories are
+    # compared at one trial only
+    g = make_grid(n, {1: 32, 2: 16, 3: 8}[n], 8.0 if n < 3 else 4.0)
+    for label, phi in reference_catalog(n).items():
+        op = MultiplierOperator(phi, g)
+        for trials in (1, 4):
+            est = norm_lower_power(op, 2.0, trials=trials, iters=300, seed=3)
+            (value, iters, history), steps = _power_one_trial_at_a_time(
+                op, 2.0, trials, 300, 3, spectral=False)
+            want, spectral_steps = _power_one_trial_at_a_time(op, 2.0, trials, 300, 3)
+            assert (est.value, est.iterations, est.history) == want
+            assert est.value == pytest.approx(value, rel=1e-13, abs=0.0), (label, trials)
+            assert spectral_steps == steps, (label, trials)
+            if trials == 1:
+                assert est.iterations == iters
+                np.testing.assert_allclose(est.history, history, rtol=1e-13, atol=0.0)
+
+
+def test_spectral_p2_run_transforms_once(monkeypatch):
+    g = make_grid(2, 16, 8.0)
+    op = MultiplierOperator(reference_catalog(2)["riesz"], g)
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    est = norm_lower_power(op, 2.0, trials=4, iters=100, seed=0)
+    assert est.iterations > 1
+    assert calls == {"fftn": 1, "ifftn": 0}
 
 
 def test_stacked_power_iteration_trials_stop_at_different_steps():

@@ -36,10 +36,10 @@ def test_default_order_is_the_indicator_order_exactly_for_kinked_symbols():
         assert default_order(phi) == (INDICATOR_ORDER if kinked else SMOOTH_ORDER)
         assert default_order(phi, smooth=3, indicator=5) == (5 if kinked else 3)
     # samples and projections carry no kink flag, even of a kinked symbol
-    ball = catalog["ballind"]
+    box = catalog["boxind"]
     g = make_grid(2, 8, 4.0)
-    assert default_order(sample_symbol(ball, g), smooth=3, indicator=5) == 3
-    assert default_order(project(ball, default_radii(g), SQ256), smooth=3, indicator=5) == 3
+    assert default_order(sample_symbol(box, g), smooth=3, indicator=5) == 3
+    assert default_order(project(box, default_radii(g), SQ256), smooth=3, indicator=5) == 3
 
 
 def test_a_lattice_sample_is_values_not_a_function():
@@ -55,7 +55,7 @@ def test_a_lattice_sample_is_values_not_a_function():
     ):
         with pytest.raises(ValueError):
             average()
-    # only catalog indicators are kinked: samples and profiles take the smooth order
+    # only the box indicator is kinked: samples and profiles take the smooth order
     assert default_order(s) == SMOOTH_ORDER
     assert default_order(project(heat, default_radii(g), SQ256)) == SMOOTH_ORDER
     for n in (1, 2, 3):

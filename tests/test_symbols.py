@@ -248,12 +248,11 @@ def test_parse_cases_cover_every_cli_name():
     assert {spec.partition(":")[0] for spec, *_ in PARSE_CASES} == cli_names
 
 
-def test_kink_marks_exactly_the_indicators():
-    assert {name for name, spec in SYMBOL_SPECS.items() if spec.kink} == {
-        "ball_indicator",
-        "box_indicator",
-    }
-    assert parse_symbol_spec("ballind", 2).kink and not parse_symbol_spec("heat", 2).kink
+def test_kink_marks_exactly_the_box_indicator():
+    # the ball indicator is radial, so every sphere but r = rho sees one value
+    assert {name for name, spec in SYMBOL_SPECS.items() if spec.kink} == {"box_indicator"}
+    assert parse_symbol_spec("boxind", 2).kink
+    assert not parse_symbol_spec("ballind", 2).kink and not parse_symbol_spec("heat", 2).kink
 
 
 def test_parse_symbol_spec_errors_carry_position():
