@@ -5,17 +5,18 @@ inverse transform over the grid axes.  Every operation takes one field
 type, `GridFunction`: on a field valued in X = l_q^d, whose fiber is a
 trailing axis, the operator is M_phi tensor Id_X, so the fiber axis is
 carried through every transform, multiply and rotation unchanged.
-Rotation conjugation S_R^-1 M_phi S_R is available in two modes:
-"exact" for lattice-preserving rotations (pure index permutation,
-isometric) and "interp" for general rotations (periodic cubic-spline
-interpolation, tolerance-based assertions only).  For a lattice symmetry
-G the conjugate S_G^-1 M_phi S_G is the multiplier M_(phi o G^-1)
-exactly, so an exact-mode average is one multiply by the averaged
-permuted symbol.  An interp-mode average groups its nodes into the
-lattice orbits G R that the spline's source-side symmetry allows and
-pays one inverse transform and one gather at R^-1 per orbit, a forward
-transform per member; it prefilters f once per call and applies the
-symbol with the spline response 1/B folded in.
+`rotate_function` and `conjugated_apply` take lattice symmetries only,
+where S_R is an index permutation and an isometry; `average_conjugated`
+is the one entry point with a mode: "exact" for lattice symmetries and
+"interp" for general rotations (periodic cubic-spline interpolation,
+tolerance-based assertions only).  For a lattice symmetry G the
+conjugate S_G^-1 M_phi S_G is the multiplier M_(phi o G^-1) exactly, so
+an exact-mode average is one multiply by the averaged permuted symbol.
+An interp-mode average groups its nodes into the lattice orbits G R
+that the spline's source-side symmetry allows and pays one inverse
+transform and one gather at R^-1 per orbit, a forward transform per
+member; it prefilters f once per call and applies the symbol with the
+spline response 1/B folded in.
 
 Positivity is decided through the convolution kernel K = F^-1 phi: the
 operator matrix has entries K(x_k - x_l), so the operator maps
@@ -76,43 +77,36 @@ def apply(op: MultiplierOperator, f: GridFunction) -> GridFunction:
 apply_vector = apply
 
 
-def _rotation_source(f: GridFunction, rotations, mode: str) -> np.ndarray:
-    """What `_rotate_values` gathers from: f's values, or in interp mode their spline coefficients.
-
-    Every rotation's dimension and the mode are checked first, before
-    any transform, and the interp prefilter then runs once per call, not
-    once per rotation.  Exact mode rejects a rotation that is not a
-    signed permutation where it permutes, also before any transform.
-    """
-    if any(R.n != f.grid.n for R in rotations):
+def _check_rotations(grid: FrequencyGrid, rotations) -> None:
+    """The one rotation-dimension rule; callers run it before any transform."""
+    if any(R.n != grid.n for R in rotations):
         raise ValueError("rotation dimension does not match grid")
-    if mode == "exact":
-        return f.values
-    if mode == "interp":
-        return _kernels.spline_prefilter(f.values, f.grid.n)
-    raise ValueError(f"mode must be 'exact' or 'interp', got {mode!r}")
 
 
 def _rotate_values(values: np.ndarray, grid: FrequencyGrid, R: Rotation, mode: str) -> np.ndarray:
     """out(x_k) = values(R x_k) over the grid axes, in grid storage order.
 
-    In interp mode `values` are spline coefficients (`_rotation_source`)
-    and out is their spline at R x_k.  Trailing axes (fibers, stacked
-    fields) are carried, so all of them rotate in one call.
+    In interp mode `values` are spline coefficients and out is their
+    spline at R x_k.  Trailing axes (fibers, stacked fields) are
+    carried, so all of them rotate in one call.
     """
     if mode == "exact":
         return _permute_lattice(values, grid, R.M)
     return _kernels.rotate_interp(values, R.M, grid.index_axis())
 
 
-def rotate_function(f: GridFunction, R: Rotation, mode: str = "exact") -> GridFunction:
-    """S_R f = f(R .); exact mode is a pure index permutation and an isometry."""
-    return replace(f, values=_rotate_values(_rotation_source(f, [R], mode), f.grid, R, mode))
+def rotate_function(f: GridFunction, R: Rotation) -> GridFunction:
+    """S_R f = f(R .) for a signed permutation R: an index permutation and an isometry.
+
+    Interpolated rotation has one entry point, `average_conjugated(..., mode="interp")`.
+    """
+    _check_rotations(f.grid, [R])
+    return replace(f, values=_rotate_values(f.values, f.grid, R, "exact"))
 
 
-def conjugated_apply(op: MultiplierOperator, R: Rotation, f: GridFunction, mode: str = "exact"):
-    """(S_R^-1 M_phi S_R) f, the one-node `average_conjugated`; symbol phi(R^-1 .)."""
-    return average_conjugated(op, subgroup_quadrature([R]), f, mode)
+def conjugated_apply(op: MultiplierOperator, R: Rotation, f: GridFunction) -> GridFunction:
+    """(S_R^-1 M_phi S_R) f for a signed permutation R: one exact node of `average_conjugated`."""
+    return average_conjugated(op, subgroup_quadrature([R]), f)
 
 
 def _weighted_sum(terms) -> np.ndarray:
@@ -132,11 +126,13 @@ def average_conjugated(
 ) -> GridFunction:
     """Weighted sum over rotation nodes of the conjugated operator applied to f.
 
-    Exact mode: for a lattice symmetry G, S_G^-1 M_phi S_G is exactly
-    the multiplier with symbol phi o G^-1, the lattice sample permuted by
-    G^-1 = G^T.  So the average is one multiply of f by
-    sum_G w_G (phi o G^-1): one transform pair for any number of nodes,
-    and a node that is not a signed permutation raises before it.
+    The one entry point with a mode, checked with every node's dimension
+    before any transform.  Exact mode: for a lattice symmetry G,
+    S_G^-1 M_phi S_G is exactly the multiplier with symbol phi o G^-1,
+    the lattice sample permuted by G^-1 = G^T.  So the average is one
+    multiply of f by sum_G w_G (phi o G^-1): one transform pair for any
+    number of nodes, and a node that is not a signed permutation raises
+    before it.
 
     Interp mode groups the nodes into lattice orbits (`_lattice_orbits`):
     nodes G R with G in `lattice_group(n)` and G R = R G.  For a signed
@@ -161,12 +157,15 @@ def average_conjugated(
     """
     _check_operand(op, f)
     grid = f.grid
-    values = _rotation_source(f, rq.rotations, mode)
+    _check_rotations(grid, rq.rotations)
     if mode == "exact":
         symbol = _weighted_sum(
             (_permute_lattice(op.sampled, grid, G.M.T), w) for G, w in zip(rq.rotations, rq.weights)
         )
-        return replace(f, values=_multiply(symbol, values))
+        return replace(f, values=_multiply(symbol, f.values))
+    if mode != "interp":
+        raise ValueError(f"mode must be 'exact' or 'interp', got {mode!r}")
+    values = _kernels.spline_prefilter(f.values, grid.n)
     symbol = op.sampled * _kernels._prefilter_symbol(grid.N, grid.n)
     symbol = symbol.reshape(symbol.shape + (1,) * (values.ndim - grid.n))
     acc = None

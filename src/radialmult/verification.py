@@ -83,8 +83,8 @@ class _Context:
         self.radii = default_radii(self.grid)
         self._proj: dict[tuple, RadialSymbol] = {}
 
-    def sq_for(self, label: str):
-        phi = self.catalog[label]
+    def sq_for(self, phi):
+        """The sphere rule of the order the policy gives symbol `phi`."""
         return self.rules[default_order(phi, self.cfg.smooth_order, self.cfg.indicator_order)]
 
     def projection(self, label: str, grid=None) -> RadialSymbol:
@@ -92,7 +92,7 @@ class _Context:
         grid = grid or self.grid
         if (label, grid) not in self._proj:
             phi, radii = self.catalog[label], default_radii(grid)
-            self._proj[label, grid] = project(phi, radii, self.sq_for(label))
+            self._proj[label, grid] = project(phi, radii, self.sq_for(phi))
         return self._proj[label, grid]
 
 
@@ -110,8 +110,7 @@ def check_idempotence(ctx: _Context) -> CheckResult:
     ]:
         p1 = ctx.projection(label)
         # a projection is a radial profile: it takes the order the policy gives it
-        p2 = project(p1, ctx.radii, ctx.rules[default_order(p1, ctx.cfg.smooth_order,
-                                                            ctx.cfg.indicator_order)])
+        p2 = project(p1, ctx.radii, ctx.sq_for(p1))
         dev = float(np.max(np.abs(p2.values - p1.values)))
         details[label] = dev
         ok = ok and dev <= tol
@@ -352,7 +351,7 @@ def check_norm_sanity(ctx: _Context) -> CheckResult:
     fhat = transform(f, "forward")
     # Parseval under the physical scaling: ||f||_2^2 = L^-n sum_j |fhat_j|^2
     parseval = abs(
-        lp_norm(f, 2.0) ** 2 - np.sum(np.abs(fhat.values) ** 2) / ctx.grid.L**ctx.grid.n
+        lp_norm(f, 2.0) ** 2 - float(np.sum(np.abs(fhat.values) ** 2)) / ctx.grid.L**ctx.grid.n
     )
     details["round_trip"] = rt
     details["parseval"] = parseval

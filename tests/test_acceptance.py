@@ -21,6 +21,7 @@ import pytest
 import radialmult.multiplier as multiplier
 import radialmult.norms as norms
 import radialmult.verification as verification
+from radialmult.grid import make_grid
 from radialmult.verification import VerifyConfig, run_all
 
 CRITERION_NAMES = [
@@ -71,7 +72,7 @@ def test_equal_orders_share_one_sphere_rule(monkeypatch):
     monkeypatch.setattr(verification, "sphere_quadrature", spy)
     ctx = verification._Context(VerifyConfig(N=16, L=8.0, smooth_order=64, indicator_order=64))
     assert built == [64]
-    assert ctx.sq_for("boxind") is ctx.sq_for("heat")
+    assert ctx.sq_for(ctx.catalog["boxind"]) is ctx.sq_for(ctx.catalog["heat"])
 
 
 def test_every_check_runs_at_n1():
@@ -144,3 +145,20 @@ def test_check_5_computes_one_kernel_per_operator(monkeypatch):
         multiplier.positivity_report(multiplier.MultiplierOperator(phi, ctx.grid)).verdict == "positive"
         for phi in ctx.catalog.values()
     )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_results_leave_as_the_types_they_declare(n):
+    # `CheckResult.passed` is typed bool and details are numbers for reports;
+    # numpy scalars would leak through either
+    out = run_all(VerifyConfig(n=n, N=16, L=8.0, smooth_order=64, indicator_order=256))
+    assert [r.criterion for r in out if type(r.passed) is not bool] == []
+    numbers = [
+        (r.criterion, key, x)
+        for r in out
+        for key, value in r.details.items()
+        for x in (value if isinstance(value, tuple) else (value,))
+    ]
+    assert [(c, key) for c, key, x in numbers if type(x) is not float] == []
+    op = multiplier.MultiplierOperator(verification.reference_catalog(n)["heat"], make_grid(n, 16, 8.0))
+    assert type(norms.norm_lower_power(op, 3.0, trials=2, iters=20, seed=7).value) is float

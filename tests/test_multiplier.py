@@ -207,18 +207,33 @@ def test_rotation_input_checks_run_before_any_transform(monkeypatch):
     for mode in ("exact", "interp"):
         with pytest.raises(ValueError, match="dimension"):
             average_conjugated(op, mixed, f, mode=mode)
-        with pytest.raises(ValueError, match="dimension"):
-            rotate_function(f, mixed.rotations[1], mode=mode)
+    with pytest.raises(ValueError, match="dimension"):
+        rotate_function(f, mixed.rotations[1])
     with pytest.raises(ValueError, match="signed permutation"):
         average_conjugated(op, off_lattice, f, mode="exact")
     with pytest.raises(ValueError, match="signed permutation"):
-        rotate_function(f, off_lattice.rotations[1], mode="exact")
+        rotate_function(f, off_lattice.rotations[1])
     for bad in ("cubic", "Interp", None):
         with pytest.raises(ValueError, match="mode"):
             average_conjugated(op, so_quadrature(2, 4), f, mode=bad)
-        with pytest.raises(ValueError, match="mode"):
-            rotate_function(f, lattice_group(2)[1], mode=bad)
     assert calls == []
+
+
+def test_rotate_function_goes_through_the_exact_rotate_values(monkeypatch):
+    # the benchmark tracer counts `multiplier._rotate_values` calls as rotations
+    modes = []
+    original = multiplier_module._rotate_values
+
+    def spy(values, grid, R, mode):
+        modes.append(mode)
+        return original(values, grid, R, mode)
+
+    monkeypatch.setattr(multiplier_module, "_rotate_values", spy)
+    g = make_grid(2, 16, 8.0)
+    f = _rand_f(g, 21)
+    for R in lattice_group(2):
+        assert np.array_equal(rotate_function(f, R).values, _permute_lattice(f.values, g, R.M))
+    assert modes == ["exact"] * len(lattice_group(2))
 
 
 def _per_node_average(op, rq, f, mode):

@@ -204,3 +204,18 @@ def test_the_benchmark_tracers_bindings_exist():
     assert "values" in inspect.signature(radialmult._kernels.rotate_interp).parameters
     assert "rq" in inspect.signature(multiplier.average_conjugated).parameters
     assert inspect.isfunction(getattr(multiplier, "_rotate_values", None))
+
+
+def test_only_average_conjugated_and_rotate_values_take_a_mode():
+    # rotation mode is chosen in one public place; `_rotate_values` carries it
+    # for the interp orbit loop, and the rotation-dimension rule is written once
+    takes_mode = sorted(
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "mode" in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    )
+    assert takes_mode == ["multiplier._rotate_values", "multiplier.average_conjugated"], takes_mode
+    count = sum(path.read_text().count("rotation dimension does not match grid") for path in SOURCES)
+    assert count == 1, count
