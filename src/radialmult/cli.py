@@ -176,7 +176,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         cfg,
         {
             "checks": [
-                {"criterion": r.criterion, "passed": r.passed, "details": r.details}
+                {
+                    "criterion": r.criterion,
+                    "passed": r.passed,
+                    "details": r.details,
+                    "bounds": [[b.name, b.value, b.limit] for b in r.bounds],
+                }
                 for r in results
             ],
             "failures": [r.criterion for r in results if not r.passed],

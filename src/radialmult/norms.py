@@ -175,11 +175,10 @@ def norm_lower_power(
         vol /= grid.N**grid.n  # Parseval: sum |x|^2 = N^-n sum |x^|^2
     rows = np.arange(trials)  # trial behind each stack row
     histories: list[list] = [[] for _ in range(trials)]
-    steps = [iters] * trials
     est_prev = np.zeros(trials)
     nx = _lp_norms(np.abs(x), p, vol)
 
-    for step in range(1, iters + 1):
+    for _ in range(iters):
         x *= (1.0 / nx).reshape(per_trial)  # bitwise x / nx, see _phase
         if spectral:
             x *= sym  # the image's spectrum y^, in the iterate's buffer
@@ -207,27 +206,23 @@ def norm_lower_power(
         stop = (est - est_prev[rows] <= POWER_RELATIVE_GAIN * est) | (nx == 0.0)
         est_prev[rows] = est
         if stop.any():
-            for t in rows[stop]:
-                steps[t] = step
             rows, x, nx = rows[~stop], x[~stop], nx[~stop]
             if not len(rows):
                 break
 
     best = 0.0
-    best_iters = 0
     best_history: tuple = ()
-    for history, trial_steps in zip(histories, steps):
+    for history in histories:
         est = history[-1]  # every trial takes its first step
         if est > best:
             best = est
-            best_iters = trial_steps
             best_history = tuple(history)
     return NormEstimate(
         value=best,
         kind="lower-bound",
         p=p,
         method="power-iteration",
-        iterations=best_iters,
+        iterations=len(best_history),
         seed=seed,
         history=best_history,
     )

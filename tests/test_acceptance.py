@@ -14,6 +14,7 @@ loosened; see tests/test_multiplier.py for the box-size convergence
 check of the same identity.
 """
 
+import math
 import time
 
 import pytest
@@ -22,7 +23,7 @@ import radialmult.multiplier as multiplier
 import radialmult.norms as norms
 import radialmult.verification as verification
 from radialmult.grid import make_grid
-from radialmult.verification import VerifyConfig, run_all
+from radialmult.verification import Bound, CheckResult, VerifyConfig, run_all
 
 CRITERION_NAMES = [
     "1-idempotence",
@@ -61,6 +62,80 @@ def test_runtime_budget(results):
     assert results[1] < 60.0
 
 
+def _assert_verdicts_are_their_bounds(out):
+    """Every check lists bounds, and its `passed` is the bool 'every value <= its limit'."""
+    assert [r.criterion for r in out if not r.bounds] == []
+    assert [r.criterion for r in out if type(r.passed) is not bool] == []
+    assert [
+        r.criterion for r in out if r.passed != all(b.value <= b.limit for b in r.bounds)
+    ] == []
+
+
+def test_every_verdict_is_its_bounds_holding(results):
+    out = list(results[0].values())
+    _assert_verdicts_are_their_bounds(out)
+    # the known red fails on its interpolation bound alone
+    failing = {(r.criterion, b.name) for r in out for b in r.bounds if not b.holds}
+    assert failing <= {("9-q-vs-p", "interp_rel_l2")}
+
+
+def test_a_result_passes_only_on_bounds_that_hold():
+    nan = math.nan
+    assert CheckResult("c", {}, [Bound("a", 1.0, 1.0), Bound("b", -math.inf, 0.0)]).passed is True
+    assert CheckResult("c", {}, [Bound("a", 1.0, 1.0), Bound("b", nan, 0.0)]).passed is False
+    assert CheckResult("c", {}, [Bound("a", 0.0, nan)]).passed is False
+    assert CheckResult("c", {}, [Bound("a", math.nextafter(1.0, 2.0), 1.0)]).passed is False
+    # a check that tested nothing certifies nothing
+    assert CheckResult("c", {}, []).passed is False
+
+
+@pytest.mark.parametrize("n, errors, passed", [
+    (2, [1e-3, 1e-5, 1e-8, 1e-12], True),
+    (2, [1e-3, 1e-5, 1e-5, 1e-12], False),  # equal neighbours do not decrease
+    (2, [1e-3, 1e-5, 1e-8, 2e-10], False),
+    (2, [1e-3, 1e-5, math.nan, 1e-12], False),
+    (1, [0.0, 0.0, 0.0, 0.0], True),
+    (1, [0.0, 0.0, 5e-324, 0.0], False),
+])
+def test_check_10_needs_a_strict_decrease(monkeypatch, n, errors, passed):
+    ctx = verification._Context(VerifyConfig(n=n, N=16, L=8.0, smooth_order=64, indicator_order=256))
+    monkeypatch.setattr(verification, "convergence_errors", lambda *args: list(errors))
+    result = verification.check_quadrature_convergence(ctx)
+    assert result.passed is passed
+    assert result.details["errors"] == tuple(errors)
+
+
+def test_check_7_fails_on_a_non_finite_kernel(monkeypatch):
+    # a +inf entry leaves the kernel's minimum and imaginary part finite; only
+    # the report's `non-finite-kernel` reason can fail the check
+    ctx = verification._Context(VerifyConfig(N=16, L=8.0, smooth_order=64, indicator_order=256))
+    assert verification.check_positivity_preservation(ctx).passed
+    real_kernel = multiplier.kernel
+
+    def kernel_with_inf(op):
+        K = real_kernel(op)
+        K.values[(0,) * K.values.ndim] = math.inf
+        return K
+
+    monkeypatch.setattr(multiplier, "kernel", kernel_with_inf)
+    result = verification.check_positivity_preservation(ctx)
+    assert not result.passed
+    assert [b.name for b in result.bounds if not b.holds] == [
+        "heat_not_positive_kernels", "gaussiso_not_positive_kernels"
+    ]
+
+
+def test_the_n3_battery_fails_only_the_known_red_in_seconds():
+    # at n = 3 the power-iteration grid is 16^3 and check 9's SO(3) rule order 8;
+    # the indicator order stays explicit, as `verify --n 3` still builds order 4096
+    t0 = time.perf_counter()
+    out = run_all(VerifyConfig(n=3, N=8, L=4.0, indicator_order=256))
+    elapsed = time.perf_counter() - t0
+    assert [r.criterion for r in out if not r.passed] == ["9-q-vs-p"]
+    _assert_verdicts_are_their_bounds(out)
+    assert elapsed < 30.0
+
+
 def test_equal_orders_share_one_sphere_rule(monkeypatch):
     built = []
     original = verification.sphere_quadrature
@@ -79,6 +154,7 @@ def test_every_check_runs_at_n1():
     out = run_all(VerifyConfig(n=1, N=32, L=8.0))
     assert [r.criterion for r in out] == CRITERION_NAMES
     assert [r.criterion for r in out if not r.passed] == []
+    _assert_verdicts_are_their_bounds(out)
     # the n = 1 sphere rule {+-1} is exact at every order
     assert dict((r.criterion, r.details) for r in out)["10-quadrature-convergence"] == {
         "errors": (0.0, 0.0, 0.0, 0.0)
@@ -152,7 +228,7 @@ def test_results_leave_as_the_types_they_declare(n):
     # `CheckResult.passed` is typed bool and details are numbers for reports;
     # numpy scalars would leak through either
     out = run_all(VerifyConfig(n=n, N=16, L=8.0, smooth_order=64, indicator_order=256))
-    assert [r.criterion for r in out if type(r.passed) is not bool] == []
+    _assert_verdicts_are_their_bounds(out)
     numbers = [
         (r.criterion, key, x)
         for r in out

@@ -305,6 +305,12 @@ def test_verify_files_exit_code_and_printout_agree(tmp_path, capsys, n, N, L):
     assert [int(name.split("-")[0]) for name in names] == list(range(1, len(CRITERIA) + 1))
     failed = [check["criterion"] for check in checks if not check["passed"]]
     assert doc["failures"] == failed
+    # each verdict is its bounds [name, value, limit] holding ("inf" is written as a string)
+    assert [
+        check["criterion"] for check in checks
+        if not check["bounds"]
+        or check["passed"] != all(float(value) <= float(limit) for _, value, limit in check["bounds"])
+    ] == []
     assert rc == (1 if failed else 0)
     header, rows = _read_csv(tmp_path / "verify.csv")
     assert header == ["criterion", "status"]

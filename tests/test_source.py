@@ -1,6 +1,7 @@
 """Source-level invariants of the package."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import radialmult
+from radialmult.verification import CRITERIA, CheckResult
 
 SOURCES = sorted(Path(radialmult.__file__).parent.glob("*.py"))
 
@@ -219,3 +221,29 @@ def test_only_average_conjugated_and_rotate_values_take_a_mode():
     assert takes_mode == ["multiplier._rotate_values", "multiplier.average_conjugated"], takes_mode
     count = sum(path.read_text().count("rotation dimension does not match grid") for path in SOURCES)
     assert count == 1, count
+
+
+def test_no_check_decides_its_own_verdict():
+    # each check lists its inequalities as `Bound`s and `CheckResult.passed` is
+    # derived from them in one place: no verdict accumulator, no verdict argument
+    path = Path(radialmult.__file__).parent / "verification.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    accumulators = [
+        f"verification.py:{node.lineno} {node.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "ok"
+    ]
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _dotted(node.func) == "CheckResult"
+    ]
+    verdicts = [
+        f"verification.py:{node.lineno}"
+        for node in calls
+        if any(isinstance(sub, (ast.Compare, ast.BoolOp)) for a in node.args for sub in ast.walk(a))
+        or any(kw.arg == "passed" for kw in node.keywords)
+    ]
+    assert len(calls) == len(CRITERIA)
+    assert not accumulators + verdicts, accumulators + verdicts
+    fields = [f.name for f in dataclasses.fields(CheckResult)]
+    assert fields == ["criterion", "details", "bounds"], fields
